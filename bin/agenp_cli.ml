@@ -182,6 +182,13 @@ let guard f =
   | Asp.Lexer.Lex_error (msg, pos) ->
     Fmt.epr "agenp: lex error at offset %d: %s@." pos msg;
     2
+  | Asp.Grounder.Unsafe_rule r ->
+    Fmt.epr "agenp: unsafe rule: %s@." (Asp.Rule.to_string r);
+    2
+  | Asp.Grounder.Aggregate_in_rule r ->
+    Fmt.epr "agenp: aggregate outside a constraint body: %s@."
+      (Asp.Rule.to_string r);
+    2
 
 (** [guard] covers the command body; the outer match covers observability
     setup and teardown (an unwritable [--trace]/[--flamegraph]/[--log]

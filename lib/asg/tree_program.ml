@@ -14,10 +14,6 @@ let program (g : Gpm.t) (tree : Grammar.Parse_tree.t) : Asp.Program.t =
   in
   Asp.Program.of_rules rules
 
-(** The induced program together with extra ground context facts. *)
-let program_with_facts g tree facts =
-  Asp.Program.with_facts (program g tree) facts
-
 (** The ground atoms a fact-only context contributes to [tree]'s induced
     program: each atom instantiated at every node's trace — exactly the
     fact rules {!Gpm.with_context} would inject through the shared

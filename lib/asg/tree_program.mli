@@ -3,9 +3,6 @@
 
 val program : Gpm.t -> Grammar.Parse_tree.t -> Asp.Program.t
 
-val program_with_facts :
-  Gpm.t -> Grammar.Parse_tree.t -> Asp.Atom.t list -> Asp.Program.t
-
 (** [context_facts tree facts] is the ground fact set a fact-only context
     contributes to [tree]'s induced program: each atom instantiated at
     every node's trace, mirroring {!Gpm.with_context}'s shared-annotation

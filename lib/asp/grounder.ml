@@ -927,19 +927,6 @@ let ground (p : Program.t) : ground_program =
 let size gp = List.length gp.grules
 let atom_count gp = Atom.Set.cardinal gp.base
 
-(** Ground with a pre-grounded core: when [core = (p0, gp0)] was produced
-    by [ground p0] and [p] is structurally equal to [p0], the core is
-    returned as-is and no grounding work happens — the seam the serving
-    layer's fingerprint-keyed ground cache goes through. Fingerprints can
-    collide, so equality is confirmed with {!Program.equal} here rather
-    than trusted from the cache key; on a mismatch (or without a core)
-    this is just [ground p]. *)
-let ground_with ?(core : (Program.t * ground_program) option) (p : Program.t) :
-    ground_program =
-  match core with
-  | Some (p0, gp0) when Program.equal p0 p -> gp0
-  | Some _ | None -> ground p
-
 (* -- Incremental grounding -------------------------------------------- *)
 
 (** Two-stage incremental grounding. [freeze] grounds a context-free core
@@ -958,14 +945,12 @@ let ground_with ?(core : (Program.t * ground_program) option) (p : Program.t) :
       each indexed by the predicate at every join position, so a delta
       touches only the plans that can see it.
 
-    An {!overlay} then adds context facts: phase 1 continues the core's
-    semi-naive rounds in a child base layer (stamps stay globally
-    monotone), and phase 2 runs each affected plan with the new [From]
-    occurrence at the pivot — every new rule instance is enumerated
-    exactly once, at its first join position holding a new atom. Truth
-    maintenance is DRed at delta granularity: retraction drops the whole
-    overlay layer and re-derives from the surviving facts; the frozen
-    core is never touched. *)
+    An {!overlay} then adds one batch of context facts: phase 1
+    continues the core's semi-naive rounds in a child base layer (stamps
+    stay globally monotone), and phase 2 runs each affected plan with the
+    new [From] occurrence at the pivot — every new rule instance is
+    enumerated exactly once, at its first join position holding a new
+    atom. The frozen core is never touched. *)
 module Incremental = struct
   let jpos_live elems =
     List.exists
@@ -1137,48 +1122,16 @@ module Incremental = struct
         && Hashtbl.length k_choice_deps = 0;
     }
 
-  (** A ground rule the overlay emitted, with the same re-grounding hooks
-      a frozen rule keeps (later facts can extend it further). *)
-  type orule = {
-    og : ground_rule;
-    og_negs : Atom.t list;
-    og_choice : (Term.subst * int option * elem_plan list * int option) option;
-  }
-
+  (** One batch of context facts over a core: a child layer over the
+      core's atom base (the core's is never written through, so one core
+      can back any number of batches at once), the batch's facts, and
+      the base atoms they derived. *)
   type overlay = {
     o_core : core;
-    mutable o_base : base;  (** child layer over [o_core.k_base] *)
-    mutable o_round : int;
-    mutable o_inst_from : int;
-        (** stamps >= this are new since the last phase-2 delta pass *)
-    mutable o_facts : Atom.t list;  (** asserted context facts, in order *)
-    mutable o_queue : Atom.t list;  (** facts not yet emitted, reversed *)
-    mutable o_fresh : Atom.t list;
-        (** base atoms derived since the last materialization *)
-    mutable o_rules : orule list;  (** delta ground rules, reversed *)
-    o_affected : (int, unit) Hashtbl.t;  (** frozen rules needing refresh *)
-    o_dormant_live : (int, unit) Hashtbl.t;  (** triggered dormants *)
-    mutable o_local_dormant : dormant list;
-    mutable o_cached : ground_program option;
+    o_base : base;  (** child layer over [o_core.k_base] *)
+    o_facts : Atom.t list;  (** normalized, deduplicated, in order *)
+    o_fresh : Atom.t list;  (** base atoms the facts derived *)
   }
-
-  let overlay core =
-    {
-      o_core = core;
-      o_base = base_child core.k_base;
-      o_round = core.k_next_round;
-      o_inst_from = core.k_next_round;
-      o_facts = [];
-      o_queue = [];
-      o_fresh = [];
-      o_rules = [];
-      o_affected = Hashtbl.create 8;
-      o_dormant_live = Hashtbl.create 8;
-      o_local_dormant = [];
-      o_cached = None;
-    }
-
-  let facts o = o.o_facts
 
   (** Normalize an asserted fact the way the grounder normalizes emitted
       heads: intervals expand to their conjunctions, arithmetic is
@@ -1198,31 +1151,36 @@ module Incremental = struct
         (expand_atom a)
     else match Atom.eval a with Some ga -> [ ga ] | None -> []
 
-  let add_facts o (atoms : Atom.t list) =
+  (* the normalized facts, deduplicated in order; hash-prefiltered, so
+     full atom comparison only on a hash match *)
+  let normalize_facts (facts : Atom.t list) : Atom.t list =
     let rec dedup seen acc = function
       | [] -> List.rev acc
       | a :: rest ->
-        if List.exists (fun x -> Atom.compare x a = 0) seen then
-          dedup seen acc rest
-        else dedup (a :: seen) (a :: acc) rest
+        let h = Atom.hash a in
+        if List.exists (fun (h', x) -> h' = h && Atom.compare x a = 0) seen
+        then dedup seen acc rest
+        else dedup ((h, a) :: seen) (a :: acc) rest
     in
-    let fresh = dedup o.o_facts [] (List.concat_map normalize_fact atoms) in
-    if fresh <> [] then begin
-      o.o_cached <- None;
-      o.o_facts <- o.o_facts @ fresh;
-      o.o_queue <- List.rev_append fresh o.o_queue;
-      let b = o.o_base in
-      let r0 = o.o_round in
-      List.iter (fun a -> ignore (base_add b ~round:r0 a)) fresh;
-      o.o_fresh <- List.rev_append b.pending o.o_fresh;
+    dedup [] [] (List.concat_map normalize_fact facts)
+
+  (** Assert [facts] over [core] in a fresh child layer and continue the
+      core's semi-naive fixpoint on their consequences. *)
+  let overlay core (facts : Atom.t list) : overlay =
+    let b = base_child core.k_base in
+    let facts = normalize_facts facts in
+    let fresh = ref [] in
+    if facts <> [] then begin
+      let r0 = core.k_next_round in
+      List.iter (fun a -> ignore (base_add b ~round:r0 a)) facts;
+      fresh := List.rev_append b.pending !fresh;
       let continue = ref (base_flush b ~round:r0) in
-      o.o_round <- r0 + 1;
-      (* continue the core's semi-naive fixpoint in the child layer: the
-         pivot ranges over the previous round's delta (top layer only),
-         literals before it over rounds the pivot's round has not seen,
-         so each new combination is derived exactly once *)
+      let round = ref (r0 + 1) in
+      (* the pivot ranges over the previous round's delta (top layer
+         only), literals before it over rounds the pivot's round has not
+         seen, so each new combination is derived exactly once *)
       while !continue do
-        let r = o.o_round in
+        let r = !round in
         Obs.fine_span "asp.ground.delta" (fun () ->
             List.iter
               (fun ((t : template), preds) ->
@@ -1235,74 +1193,57 @@ module Incremental = struct
                         else UpTo (r - 1))
                       (fun subst _ -> derive_head b ~round:r t subst)
                 done)
-              o.o_core.k_templates);
-        o.o_fresh <- List.rev_append b.pending o.o_fresh;
+              core.k_templates);
+        fresh := List.rev_append b.pending !fresh;
         continue := base_flush b ~round:r;
-        o.o_round <- r + 1;
+        round := r + 1;
         if !continue then Obs.Counter.incr c_delta_rounds
       done
-    end
+    end;
+    { o_core = core; o_base = b; o_facts = facts; o_fresh = !fresh }
 
-  (** Emit the ground consequences of the facts added since the last
-      materialization: queued fact rules, refresh triggers for affected
-      frozen rules, brand-new phase-2 instances (via the [From] pivot
-      scheme), and dormant revivals. *)
-  let materialize o =
+  (** The batch's own ground rules, in emission order — its fact rules,
+      the brand-new phase-2 instances (via the [From] pivot scheme) and
+      the dormant revivals — and the frozen core rules the grown base
+      changes. The base is final here, so the batch's rules need no
+      later refresh. *)
+  let materialize o : ground_rule list * (int, unit) Hashtbl.t =
     let b = o.o_base in
     let core = o.o_core in
-    List.iter
-      (fun a ->
-        o.o_rules <-
-          {
-            og = { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] };
-            og_negs = [];
-            og_choice = None;
-          }
-          :: o.o_rules)
-      (List.rev o.o_queue);
-    o.o_queue <- [];
+    let rules =
+      ref
+        (List.rev_map
+           (fun a -> { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] })
+           o.o_facts)
+    in
+    let affected = Hashtbl.create 8 in
     let fresh = o.o_fresh in
-    o.o_fresh <- [];
     if fresh <> [] then begin
       let fresh_preds =
         List.sort_uniq compare
           (List.map (fun (a : Atom.t) -> (a.Atom.pred, Atom.arity a)) fresh)
       in
+      let dormant_live = Hashtbl.create 8 in
       List.iter
         (fun a ->
           match Hashtbl.find_opt core.k_latent a with
-          | Some l -> List.iter (fun i -> Hashtbl.replace o.o_affected i ()) !l
+          | Some l -> List.iter (fun i -> Hashtbl.replace affected i ()) !l
           | None -> ())
         fresh;
       List.iter
         (fun key ->
           (match Hashtbl.find_opt core.k_choice_deps key with
-          | Some l -> List.iter (fun i -> Hashtbl.replace o.o_affected i ()) !l
+          | Some l -> List.iter (fun i -> Hashtbl.replace affected i ()) !l
           | None -> ());
           match Hashtbl.find_opt core.k_dormant_deps key with
-          | Some l ->
-            List.iter (fun i -> Hashtbl.replace o.o_dormant_live i ()) !l
+          | Some l -> List.iter (fun i -> Hashtbl.replace dormant_live i ()) !l
           | None -> ())
         fresh_preds;
-      let n0 = o.o_inst_from in
-      let emit em =
-        let dropped =
-          List.exists (fun a -> not (base_mem b a)) em.em_all_negs
-        in
-        o.o_rules <-
-          {
-            og = em.em_rule;
-            og_negs = (if dropped then em.em_all_negs else []);
-            og_choice =
-              (match em.em_choice with
-              | Some (_, _, elems, _) when jpos_live elems -> em.em_choice
-              | Some _ | None -> None);
-          }
-          :: o.o_rules
-      in
+      let n0 = core.k_next_round in
+      let local_dormant = ref [] in
+      let emit em = rules := em.em_rule :: !rules in
       let emit_dormant d =
-        if jpos_live d.d_elems then
-          o.o_local_dormant <- d :: o.o_local_dormant
+        if jpos_live d.d_elems then local_dormant := d :: !local_dormant
       in
       List.iter
         (fun (i, pivot) ->
@@ -1324,56 +1265,36 @@ module Incremental = struct
              | Some l -> !l
              | None -> [])
            fresh_preds);
-      o.o_inst_from <- o.o_round;
       (* revive dormant choice bodies whose elements became instantiable *)
-      let revive (d : dormant) : orule option =
+      let revive (d : dormant) =
         let atoms = head_instances_choice b d.d_subst d.d_elems in
         let atoms = List.sort_uniq Atom.compare atoms in
-        if atoms = [] then None
-        else
-          Some
+        if atoms <> [] then
+          rules :=
             {
-              og =
-                {
-                  ghead = GChoice (d.d_l, atoms, d.d_u);
-                  gpos = d.d_gpos;
-                  gneg = List.filter (base_mem b) d.d_all_negs;
-                  gcounts = d.d_gcounts;
-                };
-              og_negs =
-                (if List.exists (fun a -> not (base_mem b a)) d.d_all_negs then
-                   d.d_all_negs
-                 else []);
-              og_choice = Some (d.d_subst, d.d_l, d.d_elems, d.d_u);
+              ghead = GChoice (d.d_l, atoms, d.d_u);
+              gpos = d.d_gpos;
+              gneg = List.filter (base_mem b) d.d_all_negs;
+              gcounts = d.d_gcounts;
             }
+            :: !rules
       in
-      let live = Hashtbl.fold (fun i () acc -> i :: acc) o.o_dormant_live [] in
-      List.iter
-        (fun i ->
-          match revive core.k_dormant.(i) with
-          | Some r ->
-            o.o_rules <- r :: o.o_rules;
-            Hashtbl.remove o.o_dormant_live i
-          | None -> ())
-        (List.sort Int.compare live);
-      o.o_local_dormant <-
-        List.filter
-          (fun d ->
-            match revive d with
-            | Some r ->
-              o.o_rules <- r :: o.o_rules;
-              false
-            | None -> true)
-          o.o_local_dormant
-    end
+      let live = Hashtbl.fold (fun i () acc -> i :: acc) dormant_live [] in
+      List.iter (fun i -> revive core.k_dormant.(i)) (List.sort Int.compare live);
+      List.iter revive !local_dormant
+    end;
+    (List.rev !rules, affected)
 
-  (** Refresh a ground rule against the (possibly grown) base: re-filter
-      its negative instances, re-enumerate its choice elements. Shares
-      the input when nothing changed. *)
-  let refresh_rule b (og : ground_rule) negs choice : ground_rule =
-    let gneg = if negs = [] then og.gneg else List.filter (base_mem b) negs in
+  (** Refresh a frozen rule against the grown base: re-filter its
+      negative instances, re-enumerate its choice elements. Shares the
+      input when nothing changed. *)
+  let refresh_rule b (fz : frozen) : ground_rule =
+    let og = fz.fz_rule in
+    let gneg =
+      if fz.fz_negs = [] then og.gneg else List.filter (base_mem b) fz.fz_negs
+    in
     let ghead =
-      match choice with
+      match fz.fz_choice with
       | Some (subst, l, elems, u) ->
         let atoms =
           List.sort_uniq Atom.compare (head_instances_choice b subst elems)
@@ -1383,137 +1304,55 @@ module Incremental = struct
     in
     if gneg == og.gneg && ghead == og.ghead then og else { og with gneg; ghead }
 
-  let ground_overlay o : ground_program =
-    match o.o_cached with
-    | Some gp -> gp
-    | None ->
-      Obs.span "asp.ground" @@ fun () ->
-      Obs.Counter.incr c_ground_calls;
-      materialize o;
-      let b = o.o_base in
-      let core = o.o_core in
-      let core_rules =
-        if Hashtbl.length o.o_affected = 0 then core.k_ground.grules
-        else
-          Array.to_list
-            (Array.mapi
-               (fun i fz ->
-                 if Hashtbl.mem o.o_affected i then
-                   refresh_rule b fz.fz_rule fz.fz_negs fz.fz_choice
-                 else fz.fz_rule)
-               core.k_frozen)
-      in
-      let delta =
-        List.rev_map (fun r -> refresh_rule b r.og r.og_negs r.og_choice) o.o_rules
-      in
-      let base_set =
-        Hashtbl.fold
-          (fun a _ acc -> Atom.Set.add a acc)
-          b.stamp core.k_ground.base
-      in
-      Obs.Counter.incr c_ground_rules ~by:(List.length delta);
-      Obs.set_attr "ground_rules" (string_of_int (List.length delta));
-      let gp = { grules = core_rules @ delta; base = base_set } in
-      o.o_cached <- Some gp;
-      gp
-
-  (** The delta-only product: the overlay's own ground rules, refreshed
-      against the grown base, {e without} rebuilding the combined
-      program (no frozen-rule scan, no base-set union). Valid only when
-      no frozen core rule needs repair — [None] when asserted facts
-      touched a latent negative literal or a choice head of the core, in
-      which case the caller must fall back to {!ground}. A solver
-      holding precompiled state for the unmodified core can extend it
-      with exactly these rules. *)
-  let delta o : ground_rule list option =
-    Obs.span "asp.ground" @@ fun () ->
-    Obs.Counter.incr c_ground_calls;
-    materialize o;
-    if Hashtbl.length o.o_affected <> 0 then None
-    else begin
-      let b = o.o_base in
-      let d =
-        List.rev_map (fun r -> refresh_rule b r.og r.og_negs r.og_choice) o.o_rules
-      in
-      Obs.Counter.incr c_ground_rules ~by:(List.length d);
-      Obs.set_attr "ground_rules" (string_of_int (List.length d));
-      Some d
-    end
-
-  (** One-shot delta product for a batch of facts over [core]. On an
-      {e inert} core (nothing joins on, repairs from, or is revived by
-      new facts — the common shape of context-free decision cores) the
-      overlay machinery is skipped entirely: the delta is the normalized,
-      deduplicated facts as ground fact rules, exactly what the overlay
-      would emit. Otherwise equivalent to [delta] on a fresh overlay with
-      the facts asserted. *)
   let delta_with core ~(facts : Atom.t list) : ground_rule list option =
     if not core.k_inert then begin
-      let o = overlay core in
-      add_facts o facts;
-      delta o
-    end
-    else
+      let o = overlay core facts in
       Obs.span "asp.ground" @@ fun () ->
       Obs.Counter.incr c_ground_calls;
-      (* hash-prefiltered, order-preserving dedup: full atom comparison
-         only on a hash match *)
-      let rec dedup seen acc = function
-        | [] -> List.rev acc
-        | a :: rest ->
-          let h = Atom.hash a in
-          if List.exists (fun (h', x) -> h' = h && Atom.compare x a = 0) seen
-          then dedup seen acc rest
-          else dedup ((h, a) :: seen) (a :: acc) rest
-      in
-      let fresh = dedup [] [] (List.concat_map normalize_fact facts) in
+      let d, affected = materialize o in
+      if Hashtbl.length affected <> 0 then None
+      else begin
+        Obs.Counter.incr c_ground_rules ~by:(List.length d);
+        Obs.set_attr "ground_rules" (string_of_int (List.length d));
+        Some d
+      end
+    end
+    else
+      (* nothing can join on, repair from or revive on the facts: the
+         delta is just the facts *)
+      Obs.span "asp.ground" @@ fun () ->
+      Obs.Counter.incr c_ground_calls;
       let d =
         List.map
           (fun a -> { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] })
-          fresh
+          (normalize_facts facts)
       in
       Obs.Counter.incr c_ground_rules ~by:(List.length d);
       Obs.set_attr "ground_rules" (string_of_int (List.length d));
       Some d
-
-  (** Retract asserted facts. Truth maintenance is DRed at delta
-      granularity: the frozen core is untouched; the overlay layer is
-      dropped and re-derived from the surviving facts, so exactly the
-      ground rules depending on the retracted facts disappear. Returns
-      how many ground rules were dropped. *)
-  let retract_facts o (atoms : Atom.t list) : int =
-    let victims = List.concat_map normalize_fact atoms in
-    let keep =
-      List.filter
-        (fun f -> not (List.exists (fun v -> Atom.compare v f = 0) victims))
-        o.o_facts
-    in
-    if List.length keep = List.length o.o_facts then 0
-    else begin
-      let before = List.length (ground_overlay o).grules in
-      o.o_base <- base_child o.o_core.k_base;
-      o.o_round <- o.o_core.k_next_round;
-      o.o_inst_from <- o.o_core.k_next_round;
-      o.o_facts <- [];
-      o.o_queue <- [];
-      o.o_fresh <- [];
-      o.o_rules <- [];
-      Hashtbl.reset o.o_affected;
-      Hashtbl.reset o.o_dormant_live;
-      o.o_local_dormant <- [];
-      o.o_cached <- None;
-      add_facts o keep;
-      let after = List.length (ground_overlay o).grules in
-      before - after
-    end
-
-  let ground = ground_overlay
 
   let ground_with core ~(facts : Atom.t list) : ground_program =
     match facts with
     | [] -> core.k_ground
     | facts ->
-      let o = overlay core in
-      add_facts o facts;
-      ground_overlay o
+      let o = overlay core facts in
+      Obs.span "asp.ground" @@ fun () ->
+      Obs.Counter.incr c_ground_calls;
+      let delta, affected = materialize o in
+      let b = o.o_base in
+      let core_rules =
+        if Hashtbl.length affected = 0 then core.k_ground.grules
+        else
+          Array.to_list
+            (Array.mapi
+               (fun i fz ->
+                 if Hashtbl.mem affected i then refresh_rule b fz else fz.fz_rule)
+               core.k_frozen)
+      in
+      let base_set =
+        Hashtbl.fold (fun a _ acc -> Atom.Set.add a acc) b.stamp core.k_ground.base
+      in
+      Obs.Counter.incr c_ground_rules ~by:(List.length delta);
+      Obs.set_attr "ground_rules" (string_of_int (List.length delta));
+      { grules = core_rules @ delta; base = base_set }
 end

@@ -54,8 +54,8 @@ val first_answer_set_ground : Grounder.ground_program -> model option
     For the serve hot path: compile a ground core once with {!prepare},
     then decide satisfiability of core + per-request delta rules with
     {!has_answer_set_prepared} — only the delta is compiled per call.
-    Pairs with {!Grounder.Incremental.delta}, which produces exactly the
-    extension rules when the frozen core needs no repair. *)
+    Pairs with {!Grounder.Incremental.delta_with}, which produces exactly
+    the extension rules when the frozen core needs no repair. *)
 
 type prepared
 (** The compiled, immutable slice of a ground program (atom ids, indexed

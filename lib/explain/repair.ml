@@ -37,7 +37,7 @@ type result = {
 let repair ?(max_edits = 2) ?(max_frontier = 20_000) (gpm : Asg.Gpm.t)
     ~(context : Asp.Program.t) (sentence : string) : result option =
   let vocabulary = Grammar.Cfg.terminals (Asg.Gpm.cfg gpm) in
-  let valid tokens = Asg.Membership.accepts_tokens (Asg.Gpm.with_context gpm context) tokens in
+  let valid tokens = Asg.Membership.accepts_tokens ~context gpm tokens in
   let initial = Asg.Membership.tokenize sentence in
   if valid initial then Some { repaired = sentence; edits = 0 }
   else begin

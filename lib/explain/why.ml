@@ -43,20 +43,14 @@ let why_derivation (gpm : Asg.Gpm.t) ~(context : Asp.Program.t)
     (sentence : string) (target : Asp.Atom.t) : Asp.Justification.t option =
   Obs.span "explain.why_derivation" @@ fun () ->
   Obs.Counter.incr c_derivations;
-  let g = Asg.Gpm.with_context gpm context in
-  let tokens = Asg.Membership.tokenize sentence in
   let j =
-    List.fold_left
-      (fun acc tree ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          let gp = Asp.Grounder.ground (Asg.Tree_program.program g tree) in
-          match Asp.Solver.solve_ground ~limit:1 gp with
-          | [] -> None
-          | m :: _ -> Asp.Justification.justify gp m target))
-      None
-      (Grammar.Earley.parses (Asg.Gpm.cfg g) tokens)
+    Seq.find_map
+      (fun (tp : Asg.Membership.tree_program) ->
+        let gp = Asp.Grounder.ground (Lazy.force tp.program) in
+        match Asp.Solver.solve_ground ~limit:1 gp with
+        | [] -> None
+        | m :: _ -> Asp.Justification.justify gp m target)
+      (Asg.Membership.programs ~context gpm sentence)
   in
   (match j with
   | Some j ->
@@ -70,7 +64,7 @@ let why (gpm : Asg.Gpm.t) ~(context : Asp.Program.t) (sentence : string) :
     Asp.Solver.model option =
   Obs.span "explain.why" @@ fun () ->
   Obs.Counter.incr c_why;
-  Asg.Membership.witness (Asg.Gpm.with_context gpm context) sentence
+  Asg.Membership.witness ~context gpm sentence
 
 (** Explain a rejection: for the first parse tree, compute the models of
     the program without its constraints and report which constraints each
@@ -79,12 +73,11 @@ let why_not (gpm : Asg.Gpm.t) ~(context : Asp.Program.t) (sentence : string) :
     why_not =
   Obs.span "explain.why_not" @@ fun () ->
   Obs.Counter.incr c_why_not;
-  let g = Asg.Gpm.with_context gpm context in
-  let tokens = Asg.Membership.tokenize sentence in
-  match Grammar.Earley.parses (Asg.Gpm.cfg g) tokens with
-  | [] -> Not_in_cfg
-  | tree :: _ ->
-    (* collect instantiated constraints per node *)
+  match Asg.Membership.programs ~context gpm sentence () with
+  | Seq.Nil -> Not_in_cfg
+  | Seq.Cons ({ tree; program }, _) ->
+    (* collect instantiated constraints per node, from G(C)'s annotations *)
+    let g = Asg.Gpm.with_context gpm context in
     let node_constraints =
       List.concat_map
         (fun (trace, (p : Grammar.Production.t), _) ->
@@ -99,7 +92,7 @@ let why_not (gpm : Asg.Gpm.t) ~(context : Asp.Program.t) (sentence : string) :
             (Asg.Gpm.full_annotation g p.Grammar.Production.id))
         (Grammar.Parse_tree.nodes_with_traces tree)
     in
-    let full = Asg.Tree_program.program g tree in
+    let full = Lazy.force program in
     let without_constraints =
       Asp.Program.of_rules
         (List.filter

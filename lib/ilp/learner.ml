@@ -62,32 +62,19 @@ type witness = {
    induced program may or may not have had answer sets. *)
 let witnesses_of_example_counted ?(max_witnesses = 64) (gpm : Asg.Gpm.t)
     (e : Example.t) : witness list * bool =
-  let g = Asg.Gpm.with_context gpm e.Example.context in
-  let tokens = Asg.Membership.tokenize e.Example.sentence in
-  let trees = Grammar.Earley.parses (Asg.Gpm.cfg g) tokens in
   let out = ref [] in
   let count = ref 0 in
   let truncated = ref false in
-  List.iter
-    (fun tree ->
+  Seq.iter
+    (fun (tp : Asg.Membership.tree_program) ->
       if !count >= max_witnesses then truncated := true
       else begin
-        let traces_by_prod =
-          let tbl = Hashtbl.create 8 in
-          List.iter
-            (fun (trace, (p : Grammar.Production.t), _) ->
-              let id = p.Grammar.Production.id in
-              let existing = Option.value ~default:[] (Hashtbl.find_opt tbl id) in
-              Hashtbl.replace tbl id (trace :: existing))
-            (Grammar.Parse_tree.nodes_with_traces tree);
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-        in
+        let traces_by_prod = Asg.Membership.traces_by_production tp.tree in
         Obs.Counter.incr c_hypothesis_evals;
         let remaining = max_witnesses - !count in
         let models =
           Obs.fine_span "ilp.witness_solve" @@ fun () ->
-          Asp.Solver.solve ~limit:(remaining + 1)
-            (Asg.Tree_program.program g tree)
+          Asp.Solver.solve ~limit:(remaining + 1) (Lazy.force tp.program)
         in
         List.iteri
           (fun k model ->
@@ -98,7 +85,8 @@ let witnesses_of_example_counted ?(max_witnesses = 64) (gpm : Asg.Gpm.t)
             else truncated := true)
           models
       end)
-    trees;
+    (Asg.Membership.programs ~context:e.Example.context gpm
+       e.Example.sentence);
   if !truncated then Obs.Counter.incr c_witnesses_truncated;
   (List.rev !out, !truncated)
 
@@ -309,7 +297,8 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
           | None -> ok := false))
     done;
     if !ok then begin
-      (* pay for dead soft positives; fail if a hard positive died *)
+      (* pay for dead soft positives and list them with the sacrificed,
+         as the DFS leaf does; fail if a hard positive died *)
       (try
          Array.iteri
            (fun i (e : Example.t) ->
@@ -320,7 +309,9 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
              then
                match e.Example.weight with
                | None -> raise Exit
-               | Some w -> cost := !cost + w)
+               | Some w ->
+                 cost := !cost + w;
+                 sac.(i) <- true)
            examples;
          let sac_list =
            Array.to_list (Array.mapi (fun i s -> (i, s)) sac)

@@ -24,12 +24,10 @@ let prefer_ctx ?strict better worse ctx =
     answer sets). *)
 let sentence_models ?(max_models = 16) (gpm : Asg.Gpm.t)
     ~(context : Asp.Program.t) (sentence : string) : Asp.Solver.model list =
-  let g = Asg.Gpm.with_context gpm context in
-  let tokens = Asg.Membership.tokenize sentence in
   List.concat_map
-    (fun tree ->
-      Asp.Solver.solve ~limit:max_models (Asg.Tree_program.program g tree))
-    (Grammar.Earley.parses (Asg.Gpm.cfg g) tokens)
+    (fun (tp : Asg.Membership.tree_program) ->
+      Asp.Solver.solve ~limit:max_models (Lazy.force tp.program))
+    (List.of_seq (Asg.Membership.programs ~context gpm sentence))
 
 (** Per-candidate cost contributions on each witness of a sentence. A
     candidate weak rule is instantiated at every node of the witness's
@@ -39,23 +37,10 @@ let sentence_models ?(max_models = 16) (gpm : Asg.Gpm.t)
     candidate's production in each parse tree. *)
 let contributions (gpm : Asg.Gpm.t) (space : Hypothesis_space.t)
     ~(context : Asp.Program.t) (sentence : string) : int array list =
-  let g = Asg.Gpm.with_context gpm context in
-  let tokens = Asg.Membership.tokenize sentence in
   List.concat_map
-    (fun tree ->
-      let traces_by_prod =
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (trace, (p : Grammar.Production.t), _) ->
-            let id = p.Grammar.Production.id in
-            Hashtbl.replace tbl id
-              (trace :: Option.value ~default:[] (Hashtbl.find_opt tbl id)))
-          (Grammar.Parse_tree.nodes_with_traces tree);
-        tbl
-      in
-      let models =
-        Asp.Solver.solve ~limit:16 (Asg.Tree_program.program g tree)
-      in
+    (fun (tp : Asg.Membership.tree_program) ->
+      let traces_by_prod = Asg.Membership.traces_by_production tp.tree in
+      let models = Asp.Solver.solve ~limit:16 (Lazy.force tp.program) in
       List.map
         (fun model ->
           Array.of_list
@@ -63,7 +48,7 @@ let contributions (gpm : Asg.Gpm.t) (space : Hypothesis_space.t)
                (fun (c : Hypothesis_space.candidate) ->
                  let traces =
                    Option.value ~default:[]
-                     (Hashtbl.find_opt traces_by_prod c.prod_id)
+                     (List.assoc_opt c.prod_id traces_by_prod)
                  in
                  List.fold_left
                    (fun acc trace ->
@@ -73,7 +58,7 @@ let contributions (gpm : Asg.Gpm.t) (space : Hypothesis_space.t)
                    0 traces)
                space))
         models)
-    (Grammar.Earley.parses (Asg.Gpm.cfg g) tokens)
+    (List.of_seq (Asg.Membership.programs ~context gpm sentence))
 
 type outcome = {
   hypothesis : Task.hypothesis;

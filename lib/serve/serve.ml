@@ -466,13 +466,12 @@ let trees_for t (gpm : Asg.Gpm.t) (opt : string) :
   match locked t (fun () -> Hashtbl.find_opt t.trees key) with
   | Some l -> l
   | None ->
-    let tokens = Asg.Membership.tokenize opt in
     let l =
       List.map
-        (fun tree ->
-          let p = Asg.Tree_program.program gpm tree in
-          (tree, p, Asp.Program.fingerprint p))
-        (Grammar.Earley.parses (Asg.Gpm.cfg gpm) tokens)
+        (fun (tp : Asg.Membership.tree_program) ->
+          let p = Lazy.force tp.program in
+          (tp.tree, p, Asp.Program.fingerprint p))
+        (List.of_seq (Asg.Membership.programs gpm opt))
     in
     locked t (fun () -> Hashtbl.replace t.trees key l);
     l
@@ -519,21 +518,18 @@ let accepts_incremental t (gpm : Asg.Gpm.t) (opt : string)
           Asp.Solver.has_answer_set_ground gp))
     (trees_for t gpm opt)
 
-(** The fallback for contexts carrying proper rules: the context is
-    baked into the grammar ({!Asg.Gpm.with_context}) and each tree's
-    full induced program is frozen whole — structurally recurring
+(** The fallback for contexts carrying proper rules: each tree's full
+    induced program [G(C)[PT]] is frozen whole — structurally recurring
     contexts still hit the cache, exactly the pre-incremental
     behaviour. *)
-let accepts_fallback t (g_ctx : Asg.Gpm.t) (opt : string)
-    ~(counts : req_counts) : bool =
-  let tokens = Asg.Membership.tokenize opt in
-  let trees = Grammar.Earley.parses (Asg.Gpm.cfg g_ctx) tokens in
-  List.exists
-    (fun tree ->
-      let p = Asg.Tree_program.program g_ctx tree in
+let accepts_fallback t (gpm : Asg.Gpm.t) (opt : string)
+    ~(context : Asp.Program.t) ~(counts : req_counts) : bool =
+  Seq.exists
+    (fun (tp : Asg.Membership.tree_program) ->
+      let p = Lazy.force tp.program in
       let e = core_cached t p ~fp:(Asp.Program.fingerprint p) ~counts in
       Asp.Solver.has_answer_set_prepared e.ce_prepared ~delta:[])
-    trees
+    (Asg.Membership.programs ~context gpm opt)
 
 let decide t (req : Request.t) : Response.t =
   let c = Lazy.force counters in
@@ -579,9 +575,9 @@ let decide t (req : Request.t) : Response.t =
           (* rule-bearing context: no context-free core to reuse *)
           locked t (fun () -> t.n_fallbacks <- t.n_fallbacks + 1);
           Obs.Counter.incr c.cs_delta_fallbacks;
-          let g_ctx = Asg.Gpm.with_context gpm req.context in
           decide_core req.options
-            ~membership:(fun opt -> accepts_fallback t g_ctx opt ~counts)
+            ~membership:(fun opt ->
+              accepts_fallback t gpm opt ~context:req.context ~counts)
       in
       locked t (fun () ->
           match Lru.add t.memo key (req.context, d) with

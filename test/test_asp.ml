@@ -884,84 +884,86 @@ let sorted_ground_models gp =
   |> List.map (fun m -> List.sort compare (model_strings m))
   |> List.sort compare
 
-(* the context facts churned against a random core: EDB atoms (p/1,
+(* the context facts grounded against a random core: EDB atoms (p/1,
    q/2) and IDB atoms (h/1, r/1) alike — asserting an atom the core
    can also derive, or one feeding a dropped trivially-true negative
    literal, must both be handled *)
-let churn_pool =
+let fact_pool =
   Array.map atom
     [|
       "p(1)"; "p(2)"; "p(3)"; "q(1, 2)"; "q(2, 1)"; "q(3, 3)";
       "h(1)"; "h(2)"; "r(1)"; "r(3)";
     |]
 
-(* Random (core, op sequence) pairs: each op asserts or retracts a
-   batch from the pool. After every op the overlay's ground program
-   must equal — as a set of rules over the same possible-atom base —
-   a from-scratch reground of the core program extended with the
-   currently asserted facts, and both must have identical stable
-   models (the decisions downstream solvers would make). *)
+(* Random (core, fact batches) pairs, every batch grounded against the
+   same frozen core. [ground_with] must equal — as a set of rules over
+   the same possible-atom base — a from-scratch reground of the core
+   program extended with the batch, with identical stable models.
+   Whenever [delta_with] returns a delta, the core's ground rules plus
+   that delta must be the same rule set, and the prepared core extended
+   by it must decide satisfiability as the full reground does (the
+   serving layer's hot path). *)
 let prop_incremental_matches_full_reground =
   QCheck2.Test.make
-    ~name:"incremental core+delta = full reground, under add/retract churn"
+    ~name:"incremental core+delta = full reground, over random fact batches"
     ~count:120
     QCheck2.Gen.(
       pair gen_fo_program_source
         (list_size (int_range 1 8)
-           (pair bool
-              (list_size (int_range 1 4)
-                 (int_bound (Array.length churn_pool - 1))))))
-    (fun (src, ops) ->
+           (list_size (int_range 1 4)
+              (int_bound (Array.length fact_pool - 1)))))
+    (fun (src, batches) ->
       let p = parse src in
       QCheck2.assume (List.for_all Asp.Rule.is_safe (Asp.Program.rules p));
       let core = Asp.Grounder.Incremental.freeze p in
-      let ov = Asp.Grounder.Incremental.overlay core in
+      let core_rules =
+        (Asp.Grounder.Incremental.core_ground core).Asp.Grounder.grules
+      in
+      let prepared =
+        Asp.Solver.prepare (Asp.Grounder.Incremental.core_ground core)
+      in
       List.for_all
-        (fun (add, idxs) ->
-          let batch = List.map (fun i -> churn_pool.(i)) idxs in
-          if add then Asp.Grounder.Incremental.add_facts ov batch
-          else ignore (Asp.Grounder.Incremental.retract_facts ov batch);
-          let inc = Asp.Grounder.Incremental.ground ov in
-          let full =
-            Asp.Grounder.ground
-              (Asp.Program.with_facts p (Asp.Grounder.Incremental.facts ov))
-          in
+        (fun idxs ->
+          let facts = List.map (fun i -> fact_pool.(i)) idxs in
+          let full = Asp.Grounder.ground (Asp.Program.with_facts p facts) in
+          let inc = Asp.Grounder.Incremental.ground_with core ~facts in
           canonical_ground inc = canonical_ground full
-          && sorted_ground_models inc = sorted_ground_models full)
-        ops)
+          && sorted_ground_models inc = sorted_ground_models full
+          &&
+          match Asp.Grounder.Incremental.delta_with core ~facts with
+          | None -> true
+          | Some d ->
+            normalized_rule_strings (core_rules @ d)
+            = normalized_rule_strings full.Asp.Grounder.grules
+            && Asp.Solver.has_answer_set_prepared prepared ~delta:d
+               = Asp.Solver.has_answer_set_ground full)
+        batches)
 
-(* truth maintenance: retraction drops exactly the dependent ground
-   rules and leaves the frozen core untouched *)
-let test_incremental_retraction () =
+(* one frozen core backs any number of fact batches: each batch grounds
+   exactly its own dependent rules and never writes through to the core *)
+let test_incremental_shared_core () =
   let p = parse "q(X) :- p(X). r :- q(1). s :- r, p(2)." in
   let core = Asp.Grounder.Incremental.freeze p in
-  Alcotest.(check int) "factless core fires nothing" 0
-    (Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core));
-  let ov = Asp.Grounder.Incremental.overlay core in
-  Asp.Grounder.Incremental.add_facts ov [ atom "p(1)"; atom "p(2)" ];
+  let core_size () =
+    Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core)
+  in
+  Alcotest.(check int) "factless core fires nothing" 0 (core_size ());
   (* p(1). p(2). q(1). q(2). r. s. — six dependent ground rules *)
   Alcotest.(check int) "both chains grounded" 6
-    (Asp.Grounder.size (Asp.Grounder.Incremental.ground ov));
-  let dropped =
-    Asp.Grounder.Incremental.retract_facts ov [ atom "p(1)" ]
-  in
-  Alcotest.(check int) "p(1), q(1), r, s dropped" 4 dropped;
-  Alcotest.(check (list string)) "p(2) survives" [ "p(2)" ]
-    (List.map Asp.Atom.to_string (Asp.Grounder.Incremental.facts ov));
+    (Asp.Grounder.size
+       (Asp.Grounder.Incremental.ground_with core
+          ~facts:[ atom "p(1)"; atom "p(2)" ]));
+  Alcotest.(check (option int)) "the delta is the same six rules" (Some 6)
+    (Option.map List.length
+       (Asp.Grounder.Incremental.delta_with core
+          ~facts:[ atom "p(1)"; atom "p(2)"; atom "p(1)" ]));
   Alcotest.(check (pair (list string) (list string)))
-    "survivors equal a fresh reground"
+    "p(2) alone equals a fresh reground"
     (canonical_ground
        (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "p(2)" ])))
-    (canonical_ground (Asp.Grounder.Incremental.ground ov));
-  Alcotest.(check int) "retracting the unasserted is a no-op" 0
-    (Asp.Grounder.Incremental.retract_facts ov [ atom "p(1)" ]);
-  (* the frozen core was never written through *)
-  Alcotest.(check int) "core still factless" 0
-    (Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core));
-  (* re-assertion restores the full delta *)
-  Asp.Grounder.Incremental.add_facts ov [ atom "p(1)" ];
-  Alcotest.(check int) "re-add restores all six" 6
-    (Asp.Grounder.size (Asp.Grounder.Incremental.ground ov))
+    (canonical_ground
+       (Asp.Grounder.Incremental.ground_with core ~facts:[ atom "p(2)" ]));
+  Alcotest.(check int) "the core is still factless" 0 (core_size ())
 
 (* a latent negative literal: [not h(1)] is dropped as trivially true
    in the factless core, then h(1) is asserted — the core rule must be
@@ -969,22 +971,25 @@ let test_incremental_retraction () =
 let test_incremental_latent_negation () =
   let p = parse "p(1). s :- p(1), not h(1)." in
   let core = Asp.Grounder.Incremental.freeze p in
-  let ov = Asp.Grounder.Incremental.overlay core in
-  let before = sorted_ground_models (Asp.Grounder.Incremental.ground ov) in
+  let before =
+    sorted_ground_models (Asp.Grounder.Incremental.core_ground core)
+  in
   Alcotest.(check (list (list string))) "s holds while h(1) is underivable"
     [ [ "p(1)"; "s" ] ] before;
-  Asp.Grounder.Incremental.add_facts ov [ atom "h(1)" ];
+  Alcotest.(check bool) "the core needs repair: no delta" true
+    (Asp.Grounder.Incremental.delta_with core ~facts:[ atom "h(1)" ] = None);
+  let gp = Asp.Grounder.Incremental.ground_with core ~facts:[ atom "h(1)" ] in
   Alcotest.(check (pair (list string) (list string)))
     "repaired rule equals a fresh reground"
     (canonical_ground
        (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "h(1)" ])))
-    (canonical_ground (Asp.Grounder.Incremental.ground ov));
+    (canonical_ground gp);
   Alcotest.(check (list (list string))) "asserting h(1) defeats s"
     [ [ "h(1)"; "p(1)" ] ]
-    (sorted_ground_models (Asp.Grounder.Incremental.ground ov));
-  ignore (Asp.Grounder.Incremental.retract_facts ov [ atom "h(1)" ]);
-  Alcotest.(check (list (list string))) "retraction restores s" before
-    (sorted_ground_models (Asp.Grounder.Incremental.ground ov))
+    (sorted_ground_models gp);
+  Alcotest.(check (list (list string))) "the frozen core still derives s"
+    before
+    (sorted_ground_models (Asp.Grounder.Incremental.core_ground core))
 
 (* pretty-print / parse roundtrip over random rule ASTs *)
 let gen_rule =
@@ -1079,8 +1084,8 @@ let () =
             test_neg_interval_conjunction_choice;
           Alcotest.test_case "neg nonground outside base" `Quick
             test_neg_nonground_outside_base;
-          Alcotest.test_case "incremental retraction" `Quick
-            test_incremental_retraction;
+          Alcotest.test_case "incremental shared core" `Quick
+            test_incremental_shared_core;
           Alcotest.test_case "incremental latent negation" `Quick
             test_incremental_latent_negation;
         ] );

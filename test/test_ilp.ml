@@ -151,7 +151,15 @@ let test_hard_conflict_infeasible_vs_soft () =
   let task = Task.make ~gpm:(decision_gpm ()) ~space:(weather_space ()) ~examples:soft in
   match Learner.learn task with
   | None -> Alcotest.fail "soft conflict should be solvable"
-  | Some o -> Alcotest.(check int) "pays the positive's weight" 5 o.Learner.penalty
+  | Some o ->
+    Alcotest.(check int) "pays the positive's weight" 5 o.Learner.penalty;
+    (* the greedy warm start lists the soft positive it killed *)
+    Alcotest.(check int) "sacrificed weights sum to the penalty"
+      o.Learner.penalty
+      (List.fold_left
+         (fun acc (e : Ilp.Example.t) ->
+           acc + Option.value ~default:0 e.Ilp.Example.weight)
+         0 o.Learner.sacrificed)
 
 let test_learn_general_with_defined_atom () =
   (* the hypothesis must chain a defined atom into a constraint *)

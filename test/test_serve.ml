@@ -82,7 +82,7 @@ let test_lru_clear () =
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Serve.Lru.create ~capacity:0 ()))
 
-(* ---- structural hashing / pre-grounded cores -------------------------- *)
+(* ---- structural hashing ---------------------------------------------- *)
 
 let test_fingerprint () =
   let p1 = ctx "p(1). q(X) :- p(X)." in
@@ -96,21 +96,6 @@ let test_fingerprint () =
   Alcotest.(check bool)
     "different fingerprints" false
     (Asp.Program.fingerprint p1 = Asp.Program.fingerprint p3)
-
-let test_ground_with () =
-  let p = ctx "p(1). p(2). q(X) :- p(X)." in
-  let gp = Asp.Grounder.ground p in
-  (* matching core: returned unchanged, no regrounding *)
-  let gp' = Asp.Grounder.ground_with ~core:(p, gp) p in
-  Alcotest.(check bool) "core reused" true (gp == gp');
-  (* mismatched core: falls back to grounding the real program *)
-  let q = ctx "p(3). q(X) :- p(X)." in
-  let gq = Asp.Grounder.ground_with ~core:(p, gp) q in
-  Alcotest.(check bool) "mismatch reground" false (gq == gp);
-  Alcotest.(check int)
-    "same as direct grounding"
-    (Asp.Grounder.size (Asp.Grounder.ground q))
-    (Asp.Grounder.size gq)
 
 (* ---- No_options ------------------------------------------------------- *)
 
@@ -192,7 +177,19 @@ let differential_prop =
   let models =
     [| gpm_of snow_grammar; gpm_of sun_only_grammar; gpm_of free_grammar |]
   in
-  let contexts = [| snow; sun; fog; Asp.Program.empty |] in
+  (* the last three carry proper rules, so they take the engine's
+     rule-bearing-context path instead of the delta ground *)
+  let contexts =
+    [|
+      snow;
+      sun;
+      fog;
+      Asp.Program.empty;
+      ctx "weather(snow) :- cold. cold.";
+      ctx "weather(X) :- forecast(X). forecast(sun).";
+      ctx "weather(fog) :- not weather(sun).";
+    |]
+  in
   let option_sets =
     [| [ "accept"; "reject" ]; [ "reject"; "accept" ]; [ "accept" ]; [ "reject" ] |]
   in
@@ -833,7 +830,6 @@ let () =
       ( "hashing",
         [
           Alcotest.test_case "program fingerprint" `Quick test_fingerprint;
-          Alcotest.test_case "ground_with core" `Quick test_ground_with;
         ] );
       ( "engine",
         [

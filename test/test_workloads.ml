@@ -1,5 +1,14 @@
 (* Tests for the scenario generators and their learning pipelines. *)
 
+(* The learned hypothesis of a task, pinned: rules as source text, total
+   rule cost, and the penalty of the sacrificed examples. *)
+let check_hypothesis name ~rules ~cost ~penalty (l : Ilp.Asg_learning.learned) =
+  Alcotest.(check (list string)) (name ^ ": rules") rules
+    (Ilp.Asg_learning.hypothesis_text l);
+  Alcotest.(check int) (name ^ ": cost") cost l.outcome.Ilp.Learner.cost;
+  Alcotest.(check int) (name ^ ": penalty") penalty
+    l.outcome.Ilp.Learner.penalty
+
 (* ---- CAV ---- *)
 
 let test_cav_ground_truth () =
@@ -32,6 +41,14 @@ let test_cav_learns_ground_truth () =
   match Ilp.Asg_learning.learn_gpm task with
   | None -> Alcotest.fail "CAV learning failed"
   | Some l ->
+    check_hypothesis "cav" l ~cost:10 ~penalty:0
+      ~rules:
+        [
+          "[pr0] :- result(accept)@1, vehicle_loa(V_v), needed_loa(V_r), V_v \
+           < V_r.";
+          "[pr0] :- result(accept)@1, weather(snow), task(overtake).";
+          "[pr0] :- result(accept)@1, weather(fog), time(night).";
+        ];
     let test = Workloads.Cav.sample ~seed:7 150 in
     Alcotest.(check (float 0.01)) "perfect generalization" 1.0
       (Workloads.Cav.gpm_accuracy l.Ilp.Asg_learning.gpm test)
@@ -84,7 +101,7 @@ let test_xacml_noise_injection () =
        noisy)
 
 let test_xacml_flat_learning_improves_with_data () =
-  let learn n =
+  let learn n ~rules ~cost =
     let log = Workloads.Xacml_logs.log ~seed:1 ~n () in
     let examples = Policy.Xacml.examples_of_log log in
     let space =
@@ -95,11 +112,35 @@ let test_xacml_flat_learning_improves_with_data () =
         ~examples ()
     with
     | Some l ->
+      check_hypothesis (Printf.sprintf "xacml %d" n) l ~rules ~cost ~penalty:0;
       Workloads.Xacml_logs.gpm_accuracy l.Ilp.Asg_learning.gpm
         (Workloads.Xacml_logs.request_space ())
     | None -> 0.0
   in
-  let small = learn 10 and big = learn 60 in
+  let rule role_or_resource action =
+    Printf.sprintf "[pr0] :- result(permit)@1, %s, %s." role_or_resource action
+  in
+  let small =
+    learn 10 ~cost:9
+      ~rules:
+        [
+          rule "attr(subject, role, developer)" "attr(action, id, delete)";
+          rule "attr(subject, role, auditor)" "attr(resource, type, database)";
+          rule "attr(subject, role, developer)" "attr(resource, type, config)";
+        ]
+  and big =
+    learn 60 ~cost:21
+      ~rules:
+        [
+          rule "attr(resource, type, report)" "attr(action, id, delete)";
+          rule "attr(subject, role, auditor)" "attr(action, id, delete)";
+          rule "attr(subject, role, developer)" "attr(resource, type, config)";
+          rule "attr(subject, role, auditor)" "attr(resource, type, config)";
+          rule "attr(subject, role, intern)" "attr(resource, type, config)";
+          rule "attr(subject, role, manager)" "attr(action, id, delete)";
+          rule "attr(subject, role, intern)" "attr(action, id, write)";
+        ]
+  in
   Alcotest.(check bool)
     (Printf.sprintf "more log entries help (%.2f -> %.2f)" small big)
     true (big >= small)
@@ -107,10 +148,11 @@ let test_xacml_flat_learning_improves_with_data () =
 let test_xacml_hierarchy_beats_flat_when_sparse () =
   let log = Workloads.Xacml_logs.log ~seed:1 ~n:10 () in
   let examples = Policy.Xacml.examples_of_log log in
-  let eval gpm modes =
+  let eval ?pin gpm modes =
     let space = Ilp.Hypothesis_space.generate modes in
     match Ilp.Asg_learning.learn ~gpm ~space ~examples () with
     | Some l ->
+      Option.iter (fun check -> check l) pin;
       Workloads.Xacml_logs.gpm_accuracy l.Ilp.Asg_learning.gpm
         (Workloads.Xacml_logs.request_space ())
     | None -> 0.0
@@ -119,6 +161,15 @@ let test_xacml_hierarchy_beats_flat_when_sparse () =
   let hier =
     eval (Workloads.Xacml_logs.gpm_with_hierarchy ())
       (Workloads.Xacml_logs.hierarchy_modes ())
+      ~pin:
+        (check_hypothesis "xacml hierarchy" ~cost:7 ~penalty:0
+           ~rules:
+             [
+               "[pr0] :- result(permit)@1, attr(action, id, delete), \
+                role_level(V_s), V_s < 4.";
+               "[pr0] :- result(permit)@1, attr(action, id, read), \
+                attr(resource, type, config).";
+             ])
   in
   Alcotest.(check bool)
     (Printf.sprintf "hierarchy generalizes better (%.2f vs %.2f)" hier flat)
@@ -152,6 +203,13 @@ let test_resupply_learning () =
   with
   | None -> Alcotest.fail "resupply learning failed"
   | Some l ->
+    check_hypothesis "resupply" l ~cost:6 ~penalty:0
+      ~rules:
+        [
+          "[pr0] :- chosen(V_rt)@1, threat(V_rt, V_t), max_threat(V_m), V_t \
+           > V_m.";
+          "[pr0] :- chosen(river)@1, weather(storm).";
+        ];
     let test =
       Workloads.Resupply.campaign ~seed:99 ~n:30 ~shift_at:15 ()
     in
