@@ -36,8 +36,7 @@
     division by zero) makes that rule instance inapplicable: the instance
     is dropped, mirroring the behaviour of positive builtin failure. *)
 
-(* Obs handles (shared with the Stats view, which registers the same
-   names): plain field increments, safe in the join hot path. *)
+(* Obs handles: atomic increments, safe in the join hot path. *)
 let c_ground_calls = Obs.Counter.make "asp.ground.calls"
 let c_ground_rules = Obs.Counter.make "asp.ground.rules"
 let c_possible_atoms = Obs.Counter.make "asp.ground.possible_atoms"

@@ -10,7 +10,7 @@
     of rescanning the program. Source pointers track one non-blocked
     supporting rule per true atom and propagate unsupportedness eagerly.
     Search statistics (propagations, decisions, conflicts, GL checks) are
-    accumulated in {!Stats}. *)
+    accumulated in the [asp.solve.*] [Obs] counters. *)
 
 (** A stable model: the set of atoms assigned true. *)
 type model = Atom.Set.t

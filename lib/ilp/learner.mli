@@ -50,8 +50,7 @@ type witness = {
 
 (** All witnesses of an example under the base grammar, up to
     [max_witnesses] per parse tree. Each call solves one induced ASP
-    program (counted in the [ilp.hypothesis_evals] counter, visible
-    through [Asp.Stats.hypothesis_evals]). *)
+    program (counted in the [ilp.hypothesis_evals] counter). *)
 val witnesses_of_example :
   ?max_witnesses:int -> Asg.Gpm.t -> Example.t -> witness list
 

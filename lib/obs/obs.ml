@@ -10,9 +10,9 @@
    - counters are atomics — increments from any domain are never lost;
    - the span stack is domain-local ([Domain.DLS]), so nesting depth is
      tracked per domain and parallel spans cannot corrupt each other;
-   - each histogram and GC aggregate carries its own lock, so two
-     domains observing different metrics never contend ([registry_lock]
-     only guards the find-or-create tables); sink delivery (including
+   - each metric handle carries its own lock, so two domains observing
+     different metrics never contend ([registry_lock] only guards the
+     find-or-create tables); sink delivery (including
      the Trace buffer) takes [sink_lock]. All of these are only touched
      on span finish / handle creation, never per counter increment. *)
 
@@ -49,13 +49,13 @@ type span = {
 
 (* -- Locks --------------------------------------------------------------- *)
 
-(* [registry_lock] guards the find-or-create hashtables only; each
-   histogram / GC aggregate has a lock of its own, so observes on
-   different handles never contend. [sink_lock] guards the sink list and
-   serializes span delivery (the Trace buffer mutates inside it). A sink
-   callback may create registry handles (it takes [registry_lock] while
-   holding [sink_lock]); registry operations never take [sink_lock], so
-   the acquisition order is acyclic. *)
+(* [registry_lock] guards the find-or-create tables only; each metric
+   handle has a lock of its own, so observes on different handles never
+   contend. [sink_lock] guards the sink list and serializes span
+   delivery (the Trace buffer mutates inside it). A sink callback may
+   create registry handles (it takes [registry_lock] while holding
+   [sink_lock]); registry operations never take [sink_lock], so the
+   acquisition order is acyclic. *)
 let registry_lock = Mutex.create ()
 let sink_lock = Mutex.create ()
 
@@ -69,46 +69,75 @@ let locked m f =
     Mutex.unlock m;
     raise e
 
-(* -- Registries ---------------------------------------------------------- *)
+(* -- Registry ------------------------------------------------------------ *)
 
-let by_name_compare name_of a b = String.compare (name_of a) (name_of b)
+(* The one find-or-create table: each metric kind keeps its handles in a
+   name-keyed [Registry.t], whose [make] returns the handle registered
+   under a name or creates it. A table is created with its kind's reset,
+   so {!reset} zeroes every kind by walking [resets]. *)
+module Registry = struct
+  type 'a t = (string, 'a) Hashtbl.t
+
+  let resets : (unit -> unit) list ref = ref []
+
+  let all (r : 'a t) =
+    locked registry_lock (fun () ->
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) r [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map snd
+
+  let create ~reset : 'a t =
+    let r = Hashtbl.create 64 in
+    resets := (fun () -> List.iter reset (all r)) :: !resets;
+    r
+
+  (* The span-finish path calls this on every span, so a hit allocates
+     nothing: no [locked] closure, no option. *)
+  let make (r : 'a t) name (create : string -> 'a) =
+    Mutex.lock registry_lock;
+    match Hashtbl.find r name with
+    | v ->
+      Mutex.unlock registry_lock;
+      v
+    | exception Not_found -> (
+      match create name with
+      | v ->
+        Hashtbl.add r name v;
+        Mutex.unlock registry_lock;
+        v
+      | exception e ->
+        Mutex.unlock registry_lock;
+        raise e)
+
+  let find (r : 'a t) name =
+    locked registry_lock @@ fun () -> Hashtbl.find_opt r name
+end
 
 module Counter = struct
   type t = { name : string; value : int Atomic.t }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-
-  let make name =
-    locked registry_lock @@ fun () ->
-    match Hashtbl.find_opt registry name with
-    | Some c -> c
-    | None ->
-      let c = { name; value = Atomic.make 0 } in
-      Hashtbl.add registry name c;
-      c
-
+  let reset c = Atomic.set c.value 0
+  let registry = Registry.create ~reset
+  let create name = { name; value = Atomic.make 0 }
+  let make name = Registry.make registry name create
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.value by)
   let value c = Atomic.get c.value
   let name c = c.name
-  let reset c = Atomic.set c.value 0
-
-  let find name =
-    locked registry_lock @@ fun () -> Hashtbl.find_opt registry name
-
-  let all () =
-    locked registry_lock (fun () ->
-        Hashtbl.fold (fun _ c acc -> c :: acc) registry [])
-    |> List.sort (by_name_compare name)
+  let find = Registry.find registry
+  let all () = Registry.all registry
 end
 
-module Histogram = struct
-  (* Log-bucketed (DDSketch-style): bucket [i] covers (γ^(i-1), γ^i] and
-     a value in it is estimated as 2γ^i/(γ+1), so the relative error of
-     any quantile estimate is bounded by α = (γ-1)/(γ+1) ≈ 4.8% at
-     γ = 1.1 — with fixed memory: one int array regardless of how many
-     values are observed. Indices are clamped to [lo_idx, hi_idx]
-     (≈ 1.4e-10 s .. 4.6e6 s); non-positive values land in a dedicated
-     zero bucket estimated as 0. *)
+(* -- Sketch -------------------------------------------------------------- *)
+
+(* The log-bucket sketch behind {!Histogram} and each {!Window} slot
+   (DDSketch-style): bucket [i] covers (γ^(i-1), γ^i] and a value in it
+   is estimated as 2γ^i/(γ+1), so the relative error of any quantile
+   estimate is bounded by α = (γ-1)/(γ+1) ≈ 4.8% at γ = 1.1 — with
+   fixed memory: one int array regardless of how many values are
+   observed. Indices are clamped to [lo_idx, hi_idx] (≈ 1.4e-10 s ..
+   4.6e6 s); non-positive values land in a dedicated zero bucket
+   estimated as 0. Callers hold the owning handle's lock. *)
+module Sketch = struct
   let gamma = 1.1
   let inv_log_gamma = 1.0 /. Float.log gamma
   let quantile_relative_error = (gamma -. 1.0) /. (gamma +. 1.0)
@@ -117,37 +146,14 @@ module Histogram = struct
   let n_buckets = hi_idx - lo_idx + 1
 
   type t = {
-    name : string;
-    lock : Mutex.t;
     buckets : int array;  (** counts per log bucket, index offset by lo_idx *)
     mutable zero : int;  (** observations <= 0 *)
     mutable count : int;
     mutable total : float;
-    mutable min_v : float;
-    mutable max_v : float;
   }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-
-  let make name =
-    locked registry_lock @@ fun () ->
-    match Hashtbl.find_opt registry name with
-    | Some h -> h
-    | None ->
-      let h =
-        {
-          name;
-          lock = Mutex.create ();
-          buckets = Array.make n_buckets 0;
-          zero = 0;
-          count = 0;
-          total = 0.0;
-          min_v = infinity;
-          max_v = neg_infinity;
-        }
-      in
-      Hashtbl.add registry name h;
-      h
+  let create () =
+    { buckets = Array.make n_buckets 0; zero = 0; count = 0; total = 0.0 }
 
   let bucket_of v =
     let i = int_of_float (Float.ceil (Float.log v *. inv_log_gamma)) in
@@ -156,254 +162,31 @@ module Histogram = struct
   (* the DDSketch midpoint estimate for bucket [i] *)
   let value_of_bucket i = 2.0 *. (gamma ** float_of_int i) /. (gamma +. 1.0)
 
-  let observe h v =
-    locked h.lock @@ fun () ->
+  let add s v =
     if v > 0.0 then begin
-      let i = bucket_of v in
-      h.buckets.(i - lo_idx) <- h.buckets.(i - lo_idx) + 1
+      let i = bucket_of v - lo_idx in
+      s.buckets.(i) <- s.buckets.(i) + 1
     end
-    else h.zero <- h.zero + 1;
-    h.count <- h.count + 1;
-    h.total <- h.total +. v;
-    if v < h.min_v then h.min_v <- v;
-    if v > h.max_v then h.max_v <- v
+    else s.zero <- s.zero + 1;
+    s.count <- s.count + 1;
+    s.total <- s.total +. v
 
-  let count h = locked h.lock @@ fun () -> h.count
-  let total h = locked h.lock @@ fun () -> h.total
+  let clear s =
+    Array.fill s.buckets 0 n_buckets 0;
+    s.zero <- 0;
+    s.count <- 0;
+    s.total <- 0.0
 
-  let mean h =
-    locked h.lock @@ fun () ->
-    if h.count = 0 then 0.0 else h.total /. float_of_int h.count
+  let rec bucket_sum sketches i acc =
+    match sketches with
+    | [] -> acc
+    | s :: rest -> bucket_sum rest i (acc + s.buckets.(i))
 
-  let max_value h = locked h.lock @@ fun () -> if h.count = 0 then 0.0 else h.max_v
-  let min_value h = locked h.lock @@ fun () -> if h.count = 0 then 0.0 else h.min_v
-  let name h = h.name
-
-  (* [quantile h q] estimates the q-quantile (the ⌈q·count⌉-th smallest
-     observation, q clamped to [0,1]); 0 when empty. Bounded relative
-     error [quantile_relative_error] for values inside the bucketed
-     range. *)
-  let quantile h q =
-    locked h.lock @@ fun () ->
-    if h.count = 0 then 0.0
-    else begin
-      let q = Float.max 0.0 (Float.min 1.0 q) in
-      let rank =
-        let r = int_of_float (Float.ceil (q *. float_of_int h.count)) in
-        if r < 1 then 1 else if r > h.count then h.count else r
-      in
-      if rank <= h.zero then 0.0
-      else begin
-        let cum = ref h.zero in
-        let result = ref (if h.count = 0 then 0.0 else h.max_v) in
-        (try
-           for i = 0 to n_buckets - 1 do
-             cum := !cum + h.buckets.(i);
-             if !cum >= rank then begin
-               result := value_of_bucket (i + lo_idx);
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !result
-      end
-    end
-
-  let reset h =
-    locked h.lock @@ fun () ->
-    Array.fill h.buckets 0 n_buckets 0;
-    h.zero <- 0;
-    h.count <- 0;
-    h.total <- 0.0;
-    h.min_v <- infinity;
-    h.max_v <- neg_infinity
-
-  let find name =
-    locked registry_lock @@ fun () -> Hashtbl.find_opt registry name
-
-  let all () =
-    locked registry_lock (fun () ->
-        Hashtbl.fold (fun _ h acc -> h :: acc) registry [])
-    |> List.sort (by_name_compare name)
-end
-
-(* -- GC / allocation accounting ------------------------------------------ *)
-
-module Alloc = struct
-  (* Per-span-name allocation aggregates, fed by [span] when the
-     [gc_stats] gate is open. [Gc.quick_stat] is per-domain in OCaml 5
-     for the minor-heap fields, and a span starts and finishes on the
-     same domain, so the deltas are consistent. Deltas are inclusive of
-     child spans, like span durations. *)
-  type t = {
-    name : string;
-    lock : Mutex.t;
-    mutable count : int;
-    mutable minor_words : float;
-    mutable promoted_words : float;
-    mutable major_collections : int;
-  }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-
-  let make name =
-    locked registry_lock @@ fun () ->
-    match Hashtbl.find_opt registry name with
-    | Some a -> a
-    | None ->
-      let a =
-        {
-          name;
-          lock = Mutex.create ();
-          count = 0;
-          minor_words = 0.0;
-          promoted_words = 0.0;
-          major_collections = 0;
-        }
-      in
-      Hashtbl.add registry name a;
-      a
-
-  let record a ~minor_words ~promoted_words ~major_collections =
-    locked a.lock @@ fun () ->
-    a.count <- a.count + 1;
-    a.minor_words <- a.minor_words +. minor_words;
-    a.promoted_words <- a.promoted_words +. promoted_words;
-    a.major_collections <- a.major_collections + major_collections
-
-  let name a = a.name
-  let count a = locked a.lock @@ fun () -> a.count
-  let minor_words a = locked a.lock @@ fun () -> a.minor_words
-  let promoted_words a = locked a.lock @@ fun () -> a.promoted_words
-  let major_collections a = locked a.lock @@ fun () -> a.major_collections
-
-  let reset a =
-    locked a.lock @@ fun () ->
-    a.count <- 0;
-    a.minor_words <- 0.0;
-    a.promoted_words <- 0.0;
-    a.major_collections <- 0
-
-  let find name =
-    locked registry_lock @@ fun () -> Hashtbl.find_opt registry name
-
-  let all () =
-    locked registry_lock (fun () ->
-        Hashtbl.fold (fun _ a acc -> a :: acc) registry [])
-    |> List.sort (by_name_compare name)
-end
-
-(* -- Rolling windows ------------------------------------------------------ *)
-
-module Window = struct
-  (* A sliding-window histogram: the window is split into [n] time
-     slots, each a full log-bucket array; a slot is lazily cleared and
-     re-stamped when its epoch comes around again, so observations older
-     than the window fall out with no timer thread. Queries merge the
-     slots whose epoch is still inside the window. Same γ-bucket
-     geometry (and error bound) as {!Histogram}. *)
-  type slot = {
-    mutable s_epoch : int;  (** -1 = never used *)
-    s_buckets : int array;
-    mutable s_zero : int;
-    mutable s_count : int;
-    mutable s_total : float;
-  }
-
-  type t = {
-    name : string;
-    lock : Mutex.t;
-    window : float;
-    slot_s : float;
-    slots : slot array;
-  }
-
-  let default_window = 30.0
-  let default_slots = 15
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-  let make ?(slots = default_slots) ?(window = default_window) name =
-    locked registry_lock @@ fun () ->
-    match Hashtbl.find_opt registry name with
-    | Some w -> w
-    | None ->
-      let slots = max 1 slots in
-      let window = Float.max 1e-9 window in
-      let w =
-        {
-          name;
-          lock = Mutex.create ();
-          window;
-          slot_s = window /. float_of_int slots;
-          slots =
-            Array.init slots (fun _ ->
-                {
-                  s_epoch = -1;
-                  s_buckets = Array.make Histogram.n_buckets 0;
-                  s_zero = 0;
-                  s_count = 0;
-                  s_total = 0.0;
-                });
-        }
-      in
-      Hashtbl.add registry name w;
-      w
-
-  let name w = w.name
-  let window_seconds w = w.window
-  let n_slots w = Array.length w.slots
-
-  (* epochs count slot widths since clock zero; the clock is clamped to
-     0 so a (test) clock that starts negative cannot produce negative
-     [mod] indices *)
-  let epoch_of w t = int_of_float (Float.floor (Float.max 0.0 t /. w.slot_s))
-
-  let clear_slot s =
-    Array.fill s.s_buckets 0 (Array.length s.s_buckets) 0;
-    s.s_zero <- 0;
-    s.s_count <- 0;
-    s.s_total <- 0.0
-
-  let observe w v =
-    locked w.lock @@ fun () ->
-    let e = epoch_of w (now ()) in
-    let s = w.slots.(e mod Array.length w.slots) in
-    if s.s_epoch <> e then begin
-      clear_slot s;
-      s.s_epoch <- e
-    end;
-    (if v > 0.0 then begin
-       let i = Histogram.bucket_of v in
-       s.s_buckets.(i - Histogram.lo_idx) <-
-         s.s_buckets.(i - Histogram.lo_idx) + 1
-     end
-     else s.s_zero <- s.s_zero + 1);
-    s.s_count <- s.s_count + 1;
-    s.s_total <- s.s_total +. v
-
-  (* call with [w.lock] held *)
-  let live_slots w =
-    let e_now = epoch_of w (now ()) in
-    let n = Array.length w.slots in
-    Array.to_list w.slots
-    |> List.filter (fun s ->
-           s.s_epoch > e_now - n && s.s_epoch <= e_now && s.s_count > 0)
-
-  let live_count live = List.fold_left (fun acc s -> acc + s.s_count) 0 live
-  let count w = locked w.lock @@ fun () -> live_count (live_slots w)
-
-  let total w =
-    locked w.lock @@ fun () ->
-    List.fold_left (fun acc s -> acc +. s.s_total) 0.0 (live_slots w)
-
-  let rate w =
-    locked w.lock @@ fun () ->
-    float_of_int (live_count (live_slots w)) /. w.window
-
-  let quantile w q =
-    locked w.lock @@ fun () ->
-    let live = live_slots w in
-    let count = live_count live in
+  (* The q-quantile of the union of [sketches]: the ⌈q·count⌉-th
+     smallest observation (q clamped to [0,1]), found by one walk over
+     the merged buckets; 0 when empty. *)
+  let quantile sketches q =
+    let count = List.fold_left (fun acc s -> acc + s.count) 0 sketches in
     if count = 0 then 0.0
     else begin
       let q = Float.max 0.0 (Float.min 1.0 q) in
@@ -411,61 +194,213 @@ module Window = struct
         let r = int_of_float (Float.ceil (q *. float_of_int count)) in
         if r < 1 then 1 else if r > count then count else r
       in
-      let zero = List.fold_left (fun acc s -> acc + s.s_zero) 0 live in
+      let zero = List.fold_left (fun acc s -> acc + s.zero) 0 sketches in
       if rank <= zero then 0.0
-      else begin
-        let cum = ref zero in
-        let result = ref (Histogram.value_of_bucket Histogram.hi_idx) in
-        (try
-           for i = 0 to Histogram.n_buckets - 1 do
-             List.iter (fun s -> cum := !cum + s.s_buckets.(i)) live;
-             if !cum >= rank then begin
-               result := Histogram.value_of_bucket (i + Histogram.lo_idx);
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !result
-      end
+      else
+        let rec walk i cum =
+          let cum = bucket_sum sketches i cum in
+          if cum >= rank || i = n_buckets - 1 then value_of_bucket (i + lo_idx)
+          else walk (i + 1) cum
+        in
+        walk 0 zero
     end
+end
 
-  let reset w =
+module Histogram = struct
+  type t = {
+    name : string;
+    lock : Mutex.t;
+    sketch : Sketch.t;
+    mutable min_v : float;
+    mutable max_v : float;
+    (* GC sums of the spans named [name] that finished with the
+       [gc_stats] gate open; inclusive of child spans, like durations *)
+    mutable minor_words : float;
+    mutable promoted_words : float;
+    mutable major_collections : int;
+  }
+
+  let quantile_relative_error = Sketch.quantile_relative_error
+
+  let reset h =
+    locked h.lock @@ fun () ->
+    Sketch.clear h.sketch;
+    h.min_v <- infinity;
+    h.max_v <- neg_infinity;
+    h.minor_words <- 0.0;
+    h.promoted_words <- 0.0;
+    h.major_collections <- 0
+
+  let registry = Registry.create ~reset
+
+  let create name =
+    {
+      name;
+      lock = Mutex.create ();
+      sketch = Sketch.create ();
+      min_v = infinity;
+      max_v = neg_infinity;
+      minor_words = 0.0;
+      promoted_words = 0.0;
+      major_collections = 0;
+    }
+
+  let make name = Registry.make registry name create
+
+  (* call with [h.lock] held *)
+  let add h v =
+    Sketch.add h.sketch v;
+    if v < h.min_v then h.min_v <- v;
+    if v > h.max_v then h.max_v <- v
+
+  let observe h v = locked h.lock @@ fun () -> add h v
+
+  (* a span finish under the [gc_stats] gate: its duration and its GC
+     deltas in one locked update *)
+  let observe_gc h v ~minor_words ~promoted_words ~major_collections =
+    locked h.lock @@ fun () ->
+    add h v;
+    h.minor_words <- h.minor_words +. minor_words;
+    h.promoted_words <- h.promoted_words +. promoted_words;
+    h.major_collections <- h.major_collections + major_collections
+
+  let count h = locked h.lock @@ fun () -> h.sketch.count
+  let total h = locked h.lock @@ fun () -> h.sketch.total
+
+  let mean h =
+    locked h.lock @@ fun () ->
+    let s = h.sketch in
+    if s.count = 0 then 0.0 else s.total /. float_of_int s.count
+
+  let max_value h =
+    locked h.lock @@ fun () -> if h.sketch.count = 0 then 0.0 else h.max_v
+
+  let min_value h =
+    locked h.lock @@ fun () -> if h.sketch.count = 0 then 0.0 else h.min_v
+
+  let gc_sums h =
+    locked h.lock @@ fun () ->
+    (h.minor_words, h.promoted_words, h.major_collections)
+
+  let name h = h.name
+  let quantile h q = locked h.lock @@ fun () -> Sketch.quantile [ h.sketch ] q
+  let find = Registry.find registry
+  let all () = Registry.all registry
+end
+
+(* -- Rolling windows ------------------------------------------------------ *)
+
+(* The slot ring behind {!Window} and {!Slo}: the window is split into
+   [n] time slots; a slot is lazily cleared and re-stamped when its
+   epoch comes around again, so observations older than the window fall
+   out with no timer thread. Epochs count slot widths since clock zero;
+   the clock is clamped to 0 so a (test) clock that starts negative
+   cannot produce negative [mod] indices. Callers hold the owning
+   handle's lock. *)
+module Slots = struct
+  type 'a t = {
+    window : float;
+    slot_s : float;
+    epochs : int array;  (** -1 = never used *)
+    data : 'a array;
+    clear : 'a -> unit;
+  }
+
+  let create ~n ~window ~init ~clear =
+    let n = max 1 n and window = Float.max 1e-9 window in
+    {
+      window;
+      slot_s = window /. float_of_int n;
+      epochs = Array.make n (-1);
+      data = Array.init n (fun _ -> init ());
+      clear;
+    }
+
+  let epoch_of r t = int_of_float (Float.floor (Float.max 0.0 t /. r.slot_s))
+
+  (* the slot the current instant falls into *)
+  let current r =
+    let e = epoch_of r (now ()) in
+    let i = e mod Array.length r.epochs in
+    if r.epochs.(i) <> e then begin
+      r.clear r.data.(i);
+      r.epochs.(i) <- e
+    end;
+    r.data.(i)
+
+  (* the slots still inside the window, in slot order *)
+  let live r =
+    let e_now = epoch_of r (now ()) in
+    let n = Array.length r.epochs in
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if r.epochs.(i) > e_now - n && r.epochs.(i) <= e_now then
+        acc := r.data.(i) :: !acc
+    done;
+    !acc
+
+  let reset r =
+    Array.fill r.epochs 0 (Array.length r.epochs) (-1);
+    Array.iter r.clear r.data
+end
+
+module Window = struct
+  (* A sliding-window histogram: one {!Sketch} per slot of a {!Slots}
+     ring; queries merge the slots still inside the window. *)
+  type t = { name : string; lock : Mutex.t; slots : Sketch.t Slots.t }
+
+  let default_window = 30.0
+  let default_slots = 15
+  let reset w = locked w.lock @@ fun () -> Slots.reset w.slots
+  let registry = Registry.create ~reset
+
+  let make ?(slots = default_slots) ?(window = default_window) name =
+    Registry.make registry name (fun name ->
+        {
+          name;
+          lock = Mutex.create ();
+          slots =
+            Slots.create ~n:slots ~window ~init:Sketch.create
+              ~clear:Sketch.clear;
+        })
+
+  let name w = w.name
+  let window_seconds w = w.slots.Slots.window
+  let observe w v =
+    locked w.lock @@ fun () -> Sketch.add (Slots.current w.slots) v
+
+  let count w =
     locked w.lock @@ fun () ->
-    Array.iter
-      (fun s ->
-        clear_slot s;
-        s.s_epoch <- -1)
-      w.slots
+    List.fold_left (fun acc s -> acc + s.Sketch.count) 0 (Slots.live w.slots)
 
-  let find name =
-    locked registry_lock @@ fun () -> Hashtbl.find_opt registry name
+  let total w =
+    locked w.lock @@ fun () ->
+    List.fold_left (fun acc s -> acc +. s.Sketch.total) 0.0 (Slots.live w.slots)
 
-  let all () =
-    locked registry_lock (fun () ->
-        Hashtbl.fold (fun _ w acc -> w :: acc) registry [])
-    |> List.sort (by_name_compare name)
+  let rate w = float_of_int (count w) /. window_seconds w
+  let quantile w q =
+    locked w.lock @@ fun () -> Sketch.quantile (Slots.live w.slots) q
+  let find = Registry.find registry
+  let all () = Registry.all registry
 end
 
 (* -- SLO tracking --------------------------------------------------------- *)
 
 module Slo = struct
   (* A latency SLO: [objective] of the observations over the rolling
-     [window] must land at or under [target] seconds. Windowing reuses
-     the {!Window} slot-ring scheme but only counts totals and breaches
-     per slot. The burn rate is the pace at which the error budget is
-     consumed — windowed breach fraction over the allowed fraction
-     (1 - objective): 1.0 spends the budget exactly at the sustainable
-     pace, above 1 exhausts it early. *)
+     window must land at or under [target] seconds. Each {!Slots} slot
+     counts totals and breaches. The burn rate is the pace at which the
+     error budget is consumed — windowed breach fraction over the
+     allowed fraction (1 - objective): 1.0 spends the budget exactly at
+     the sustainable pace, above 1 exhausts it early. *)
+  type tally = { mutable seen : int; mutable breached : int }
+
   type t = {
     name : string;
     lock : Mutex.t;
     target : float;
     objective : float;
-    window : float;
-    slot_s : float;
-    epochs : int array;
-    totals : int array;
-    breaches : int array;
+    slots : tally Slots.t;
     mutable cum_total : int;
     mutable cum_breaches : int;
   }
@@ -484,70 +419,50 @@ module Slo = struct
     budget_remaining : float;
   }
 
-  let default_slots = 15
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 8
+  let reset s =
+    locked s.lock @@ fun () ->
+    Slots.reset s.slots;
+    s.cum_total <- 0;
+    s.cum_breaches <- 0
+
+  let registry = Registry.create ~reset
 
   let make ?(objective = 0.99) ?(window = 60.0) ~target name =
-    locked registry_lock @@ fun () ->
-    match Hashtbl.find_opt registry name with
-    | Some s -> s
-    | None ->
-      let objective = Float.max 0.0 (Float.min 1.0 objective) in
-      let window = Float.max 1e-9 window in
-      let n = default_slots in
-      let s =
+    Registry.make registry name (fun name ->
         {
           name;
           lock = Mutex.create ();
           target;
-          objective;
-          window;
-          slot_s = window /. float_of_int n;
-          epochs = Array.make n (-1);
-          totals = Array.make n 0;
-          breaches = Array.make n 0;
+          objective = Float.max 0.0 (Float.min 1.0 objective);
+          slots =
+            Slots.create ~n:Window.default_slots ~window
+              ~init:(fun () -> { seen = 0; breached = 0 })
+              ~clear:(fun t ->
+                t.seen <- 0;
+                t.breached <- 0);
           cum_total = 0;
           cum_breaches = 0;
-        }
-      in
-      Hashtbl.add registry name s;
-      s
+        })
 
   let name s = s.name
-  let target s = s.target
-  let objective s = s.objective
-  let window_seconds s = s.window
-  let epoch_of s t = int_of_float (Float.floor (Float.max 0.0 t /. s.slot_s))
 
   let record s latency =
     locked s.lock @@ fun () ->
-    let e = epoch_of s (now ()) in
-    let i = e mod Array.length s.epochs in
-    if s.epochs.(i) <> e then begin
-      s.epochs.(i) <- e;
-      s.totals.(i) <- 0;
-      s.breaches.(i) <- 0
-    end;
-    s.totals.(i) <- s.totals.(i) + 1;
+    let t = Slots.current s.slots in
+    t.seen <- t.seen + 1;
     s.cum_total <- s.cum_total + 1;
     if latency > s.target then begin
-      s.breaches.(i) <- s.breaches.(i) + 1;
+      t.breached <- t.breached + 1;
       s.cum_breaches <- s.cum_breaches + 1
     end
 
   let status s =
     locked s.lock @@ fun () ->
-    let e_now = epoch_of s (now ()) in
-    let n = Array.length s.epochs in
-    let wt = ref 0 and wb = ref 0 in
-    for i = 0 to n - 1 do
-      if s.epochs.(i) > e_now - n && s.epochs.(i) <= e_now then begin
-        wt := !wt + s.totals.(i);
-        wb := !wb + s.breaches.(i)
-      end
-    done;
+    let live = Slots.live s.slots in
+    let wt = List.fold_left (fun acc t -> acc + t.seen) 0 live in
+    let wb = List.fold_left (fun acc t -> acc + t.breached) 0 live in
     let breach_frac =
-      if !wt = 0 then 0.0 else float_of_int !wb /. float_of_int !wt
+      if wt = 0 then 0.0 else float_of_int wb /. float_of_int wt
     in
     (* the epsilon keeps a 100% objective finite instead of dividing by
        zero; any breach then reads as an enormous (but serializable)
@@ -558,31 +473,18 @@ module Slo = struct
       slo_name = s.name;
       slo_target = s.target;
       slo_objective = s.objective;
-      slo_window = s.window;
+      slo_window = s.slots.Slots.window;
       total = s.cum_total;
       breaches = s.cum_breaches;
-      window_total = !wt;
-      window_breaches = !wb;
+      window_total = wt;
+      window_breaches = wb;
       compliance = 1.0 -. breach_frac;
       burn_rate;
       budget_remaining = 1.0 -. burn_rate;
     }
 
-  let reset s =
-    locked s.lock @@ fun () ->
-    Array.fill s.epochs 0 (Array.length s.epochs) (-1);
-    Array.fill s.totals 0 (Array.length s.totals) 0;
-    Array.fill s.breaches 0 (Array.length s.breaches) 0;
-    s.cum_total <- 0;
-    s.cum_breaches <- 0
-
-  let find name =
-    locked registry_lock @@ fun () -> Hashtbl.find_opt registry name
-
-  let all () =
-    locked registry_lock (fun () ->
-        Hashtbl.fold (fun _ s acc -> s :: acc) registry [])
-    |> List.sort (by_name_compare name)
+  let find = Registry.find registry
+  let all () = Registry.all registry
 end
 
 (* -- Sinks --------------------------------------------------------------- *)
@@ -701,20 +603,19 @@ let span ?(attrs = []) name f =
         let major_collections =
           g1.Gc.major_collections - g0.Gc.major_collections
         in
-        Alloc.record (Alloc.make fr.f_name) ~minor_words ~promoted_words
-          ~major_collections;
+        Histogram.observe_gc (Histogram.make fr.f_name) dur ~minor_words
+          ~promoted_words ~major_collections;
         fr.f_attrs <-
           ("gc.major_collections", string_of_int major_collections)
           :: ("gc.promoted_words", Printf.sprintf "%.0f" promoted_words)
           :: ("gc.minor_words", Printf.sprintf "%.0f" minor_words)
           :: fr.f_attrs
-      | None -> ());
+      | None -> Histogram.observe (Histogram.make fr.f_name) dur);
       (* stamp the ambient trace ID (if any) last so it exports after
          user attrs; spans outside any trace context are unchanged *)
       (match Trace_context.current () with
       | Some id -> fr.f_attrs <- ("trace", id) :: fr.f_attrs
       | None -> ());
-      Histogram.observe (Histogram.make fr.f_name) dur;
       locked sink_lock (fun () ->
           if !sinks <> [] then begin
             let sp =
@@ -920,6 +821,83 @@ module Json = struct
         | c -> Buffer.add_char b c)
       s;
     Buffer.contents b
+
+  let write_jsonl path to_json items =
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        List.iter
+          (fun x ->
+            output_string oc (to_json x);
+            output_char oc '\n')
+          items)
+
+  let read_jsonl path of_json =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let rec go acc =
+          match input_line ic with
+          | exception End_of_file -> List.rev acc
+          | "" -> go acc
+          | line -> go (of_json line :: acc)
+        in
+        go [])
+end
+
+(* -- Bounded rings -------------------------------------------------------- *)
+
+(* An array indexed by [seq mod capacity], so wraparound keeps exactly
+   the newest [capacity] items and oldest-first order follows from the
+   sequence numbers. *)
+module Ring = struct
+  type 'a t = {
+    lock : Mutex.t;
+    mutable buf : 'a option array;
+    mutable total : int;
+  }
+
+  let create ~capacity =
+    {
+      lock = Mutex.create ();
+      buf = Array.make (max 1 capacity) None;
+      total = 0;
+    }
+
+  let capacity r = locked r.lock @@ fun () -> Array.length r.buf
+  let length r = locked r.lock @@ fun () -> min r.total (Array.length r.buf)
+  let total r = locked r.lock @@ fun () -> r.total
+
+  let add r make =
+    locked r.lock @@ fun () ->
+    let seq = r.total in
+    let x = make seq in
+    r.buf.(seq mod Array.length r.buf) <- Some x;
+    r.total <- seq + 1;
+    x
+
+  let to_list ?last r =
+    locked r.lock @@ fun () ->
+    let cap = Array.length r.buf in
+    let kept = min r.total cap in
+    let kept = match last with Some n -> min kept (max 0 n) | None -> kept in
+    let first_seq = r.total - kept in
+    List.init kept (fun i ->
+        match r.buf.((first_seq + i) mod cap) with
+        | Some x -> x
+        | None -> assert false (* seqs below [total] are always filled *))
+
+  let clear r =
+    locked r.lock @@ fun () ->
+    Array.fill r.buf 0 (Array.length r.buf) None;
+    r.total <- 0
+
+  let resize r capacity =
+    locked r.lock @@ fun () ->
+    r.buf <- Array.make (max 1 capacity) None;
+    r.total <- 0
 end
 
 (* -- Structured logging --------------------------------------------------- *)
@@ -1057,65 +1035,33 @@ module Health = struct
     ev_detail : string;
   }
 
-  (* The bounded event ring, global across signals (mirroring the serve
-     layer's audit ring): an array indexed by [seq mod capacity], so
-     wraparound keeps exactly the newest [capacity] events and
-     oldest-first order follows from the sequence numbers. *)
-  let ring_lock = Mutex.create ()
-  let ring_cap = ref 256
-  let ring : event option array ref = ref (Array.make !ring_cap None)
-  let ring_total = ref 0
-
-  let set_ring_capacity n =
-    locked ring_lock @@ fun () ->
-    let n = max 1 n in
-    ring_cap := n;
-    ring := Array.make n None;
-    ring_total := 0
-
-  let clear_events () =
-    locked ring_lock @@ fun () ->
-    Array.fill !ring 0 (Array.length !ring) None;
-    ring_total := 0
-
-  let events_total () = locked ring_lock @@ fun () -> !ring_total
-
-  let events ?last () =
-    locked ring_lock @@ fun () ->
-    let kept = min !ring_total !ring_cap in
-    let kept = match last with Some n -> min kept (max 0 n) | None -> kept in
-    let first_seq = !ring_total - kept in
-    List.init kept (fun i ->
-        match !ring.((first_seq + i) mod !ring_cap) with
-        | Some e -> e
-        | None -> assert false (* seqs below [ring_total] are always filled *))
+  (* the bounded event ring, global across signals *)
+  let ring : event Ring.t = Ring.create ~capacity:256
+  let set_ring_capacity n = Ring.resize ring n
+  let clear_events () = Ring.clear ring
+  let events_total () = Ring.total ring
+  let events ?last () = Ring.to_list ?last ring
 
   let emit ?(gpm_version = -1) ?(observations = 0) ?(baseline = 0.0)
       ?(current = 0.0) ?(deviation = 0.0) ?(old_size = 0) ?(new_size = 0)
       ?(detail = "") ~signal ~kind () =
     Counter.incr (Counter.make "health.events");
     let ev =
-      locked ring_lock @@ fun () ->
-      let seq = !ring_total in
-      let ev =
-        {
-          ev_seq = seq;
-          ev_ts = now ();
-          ev_signal = signal;
-          ev_kind = kind;
-          ev_gpm_version = gpm_version;
-          ev_observations = observations;
-          ev_baseline = baseline;
-          ev_current = current;
-          ev_deviation = deviation;
-          ev_old_size = old_size;
-          ev_new_size = new_size;
-          ev_detail = detail;
-        }
-      in
-      !ring.(seq mod !ring_cap) <- Some ev;
-      ring_total := seq + 1;
-      ev
+      Ring.add ring (fun seq ->
+          {
+            ev_seq = seq;
+            ev_ts = now ();
+            ev_signal = signal;
+            ev_kind = kind;
+            ev_gpm_version = gpm_version;
+            ev_observations = observations;
+            ev_baseline = baseline;
+            ev_current = current;
+            ev_deviation = deviation;
+            ev_old_size = old_size;
+            ev_new_size = new_size;
+            ev_detail = detail;
+          })
     in
     Log.info "health event"
       ~attrs:
@@ -1145,22 +1091,34 @@ module Health = struct
     mutable alarms : int;
   }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 8
+  let reset s =
+    locked s.lock @@ fun () ->
+    s.count <- 0;
+    s.positives <- 0;
+    Hashtbl.reset s.versions;
+    Array.fill s.recent 0 (Array.length s.recent) false;
+    s.recent_n <- 0;
+    s.recent_sum <- 0;
+    s.ph_n <- 0;
+    s.ph_mean <- 0.0;
+    s.ph_m <- 0.0;
+    s.ph_min <- 0.0;
+    s.last_version <- -1;
+    s.alarms <- 0
+
+  let registry = Registry.create ~reset
 
   let make ?(config = default_config) name =
-    locked registry_lock @@ fun () ->
-    match Hashtbl.find_opt registry name with
-    | Some s -> s
-    | None ->
-      let s =
+    Registry.make registry name (fun name ->
+        let window = max 1 config.window in
         {
           name;
           lock = Mutex.create ();
-          config = { config with window = max 1 config.window };
+          config = { config with window };
           count = 0;
           positives = 0;
           versions = Hashtbl.create 4;
-          recent = Array.make (max 1 config.window) false;
+          recent = Array.make window false;
           recent_n = 0;
           recent_sum = 0;
           ph_n = 0;
@@ -1169,10 +1127,7 @@ module Health = struct
           ph_min = 0.0;
           last_version = -1;
           alarms = 0;
-        }
-      in
-      Hashtbl.add registry name s;
-      s
+        })
 
   let name s = s.name
   let observations s = locked s.lock @@ fun () -> s.count
@@ -1255,28 +1210,8 @@ module Health = struct
            ~kind:"rate_shift" ())
     | None -> ()
 
-  let reset s =
-    locked s.lock @@ fun () ->
-    s.count <- 0;
-    s.positives <- 0;
-    Hashtbl.reset s.versions;
-    Array.fill s.recent 0 (Array.length s.recent) false;
-    s.recent_n <- 0;
-    s.recent_sum <- 0;
-    s.ph_n <- 0;
-    s.ph_mean <- 0.0;
-    s.ph_m <- 0.0;
-    s.ph_min <- 0.0;
-    s.last_version <- -1;
-    s.alarms <- 0
-
-  let find name =
-    locked registry_lock @@ fun () -> Hashtbl.find_opt registry name
-
-  let all () =
-    locked registry_lock (fun () ->
-        Hashtbl.fold (fun _ s acc -> s :: acc) registry [])
-    |> List.sort (by_name_compare name)
+  let find = Registry.find registry
+  let all () = Registry.all registry
 
   let event_to_json e =
     Printf.sprintf
@@ -1308,29 +1243,8 @@ module Health = struct
       ev_detail = str "detail";
     }
 
-  let write_jsonl path events =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        List.iter
-          (fun e ->
-            output_string oc (event_to_json e);
-            output_char oc '\n')
-          events)
-
-  let read_jsonl path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | exception End_of_file -> List.rev acc
-          | "" -> go acc
-          | line -> go (event_of_json line :: acc)
-        in
-        go [])
+  let write_jsonl path events = Json.write_jsonl path event_to_json events
+  let read_jsonl path = Json.read_jsonl path event_of_json
 end
 
 (* -- Trace collection + exporters ---------------------------------------- *)
@@ -1714,8 +1628,8 @@ module Openmetrics = struct
         let base = metric ("slo." ^ Slo.name s) in
         let labels =
           [
-            ("target", fnum (Slo.target s));
-            ("objective", fnum (Slo.objective s));
+            ("target", fnum st.Slo.slo_target);
+            ("objective", fnum st.Slo.slo_objective);
           ]
         in
         gauge ~labels (base ^ "_compliance") st.Slo.compliance;
@@ -1761,12 +1675,7 @@ end
 (* -- Reset --------------------------------------------------------------- *)
 
 let reset () =
-  List.iter Counter.reset (Counter.all ());
-  List.iter Histogram.reset (Histogram.all ());
-  List.iter Alloc.reset (Alloc.all ());
-  List.iter Window.reset (Window.all ());
-  List.iter Slo.reset (Slo.all ());
-  List.iter Health.reset (Health.all ());
+  List.iter (fun reset_kind -> reset_kind ()) !Registry.resets;
   Health.clear_events ();
   Trace.clear ()
 
@@ -1808,17 +1717,9 @@ let report () =
     Histogram.all ()
     |> List.filter (fun h -> Histogram.count h > 0)
     |> List.map (fun h ->
-           let name = Histogram.name h in
-           let minor, promoted, major =
-             match Alloc.find name with
-             | Some a ->
-               ( Alloc.minor_words a,
-                 Alloc.promoted_words a,
-                 Alloc.major_collections a )
-             | None -> (0.0, 0.0, 0)
-           in
+           let minor, promoted, major = Histogram.gc_sums h in
            {
-             agg_name = name;
+             agg_name = Histogram.name h;
              agg_count = Histogram.count h;
              agg_total = Histogram.total h;
              agg_mean = Histogram.mean h;

@@ -9,14 +9,15 @@
       [layer.operation] convention ([asp.ground], [ilp.learn],
       [agenp.pdp.decide]); the segment before the first dot is the layer
       and becomes the category in trace exports.
-    - {e counters} and {e histograms} — a named registry of cheap
-      aggregates. Counter increments are a single atomic update on a
-      preallocated handle, so they are safe in the hottest loops.
-      Histograms are log-bucketed and answer quantile queries
+    - {e counters}, {e histograms}, {e windows}, {e SLOs} and {e health
+      signals} — cheap aggregates, each kind in one find-or-create
+      registry keyed by name. Counter increments are a single atomic
+      update on a preallocated handle, so they are safe in the hottest
+      loops. Histograms are log-bucketed and answer quantile queries
       (p50/p90/p99) with bounded relative error in fixed memory.
     - {e GC accounting} — per-span allocation deltas ([Gc.quick_stat]),
-      gated like {!fine_span} so hot paths stay cheap (see
-      {!set_gc_stats}).
+      summed on the span's histogram and gated like {!fine_span} so hot
+      paths stay cheap (see {!set_gc_stats}).
     - {e sinks} — a pluggable interface receiving every finished span.
       The built-in {!Trace} collector (Chrome [trace_event], folded
       flamegraph, and speedscope exports) is itself a sink; tests and
@@ -38,7 +39,7 @@
 
     GC accounting adds two [Gc.quick_stat] calls per span (tens of
     nanoseconds each — the stat is per-domain and does not stop the
-    world) plus one locked aggregate update; it is off by default and
+    world), summed in the same locked histogram update; it is off by default and
     gated by {!set_gc_stats} independently of the detail gate, so
     latency profiling does not pay for allocation profiling.
 
@@ -51,8 +52,8 @@
     parallel learner, [lib/par] fan-outs): counter increments are
     atomic, the span stack is domain-local (each domain nests its own
     spans; {!span.sp_domain} records which domain a span ran on, and
-    becomes the [tid] in Chrome exports), and each histogram / GC
-    aggregate carries its own lock, so concurrent observes on
+    becomes the [tid] in Chrome exports), and each metric handle
+    carries its own lock, so concurrent observes on
     {e different} metrics never contend and concurrent observes on the
     {e same} metric are serialized but lose nothing. Sink delivery and
     the trace buffer are serialized by one internal lock taken only on
@@ -91,9 +92,9 @@ val detailed_enabled : unit -> bool
     disabled). When enabled, every {!span} records [Gc.quick_stat]
     deltas — minor words allocated, words promoted, major collections —
     as span attributes ([gc.minor_words], [gc.promoted_words],
-    [gc.major_collections]) and aggregates them per span name (see
-    {!Alloc} and the allocation columns of {!report_to_string}).
-    Deltas are inclusive of child spans, like durations. *)
+    [gc.major_collections]) and sums them on the span's histogram (the
+    allocation columns of {!report_to_string}). Deltas are inclusive
+    of child spans, like durations. *)
 val set_gc_stats : bool -> unit
 
 val gc_stats_enabled : unit -> bool
@@ -173,31 +174,30 @@ module Trace_context : sig
   val scope : (string -> 'a) -> 'a
 end
 
-(** {1 Counters, histograms, allocation aggregates} *)
+(** {1 Counters and histograms}
+
+    Each metric kind keeps its handles in one find-or-create registry:
+    [make] returns the handle registered under a name or creates it
+    (parameters are fixed at first creation), and [all] lists the
+    kind's handles sorted by name. *)
 
 module Counter : sig
   type t
 
-  (** Find-or-create the counter registered under [name]. Handles are
-      stable: repeated calls return the same counter. *)
   val make : string -> t
 
   val incr : ?by:int -> t -> unit
   val value : t -> int
   val name : t -> string
   val reset : t -> unit
-
   val find : string -> t option
-
-  (** All registered counters, sorted by name. *)
   val all : unit -> t list
 end
 
 module Histogram : sig
   type t
 
-  (** Find-or-create, like {!Counter.make}. Span durations land in the
-      histogram named after the span. *)
+  (** Span durations land in the histogram named after the span. *)
   val make : string -> t
 
   val observe : t -> float -> unit
@@ -233,35 +233,6 @@ module Histogram : sig
   val all : unit -> t list
 end
 
-(** Per-span-name allocation aggregates, populated by {!span} when
-    {!set_gc_stats} is enabled. All figures are inclusive of child
-    spans, like span durations. *)
-module Alloc : sig
-  type t
-
-  (** Find-or-create, like {!Counter.make}. *)
-  val make : string -> t
-
-  val record :
-    t ->
-    minor_words:float ->
-    promoted_words:float ->
-    major_collections:int ->
-    unit
-
-  val name : t -> string
-
-  (** Number of spans that contributed deltas. *)
-  val count : t -> int
-
-  val minor_words : t -> float
-  val promoted_words : t -> float
-  val major_collections : t -> int
-  val reset : t -> unit
-  val find : string -> t option
-  val all : unit -> t list
-end
-
 (** {1 Rolling windows and SLOs} *)
 
 (** Sliding-window histograms: like {!Histogram} (same log-bucket
@@ -273,10 +244,8 @@ end
 module Window : sig
   type t
 
-  (** Find-or-create, like {!Counter.make}. [window] is the covered
-      span in seconds (default 30), divided into [slots] ring slots
-      (default 15 — the expiry granularity). Parameters are fixed at
-      first creation. *)
+  (** [window] is the covered span in seconds (default 30), divided
+      into [slots] ring slots (default 15 — the expiry granularity). *)
   val make : ?slots:int -> ?window:float -> string -> t
 
   val observe : t -> float -> unit
@@ -295,7 +264,6 @@ module Window : sig
 
   val name : t -> string
   val window_seconds : t -> float
-  val n_slots : t -> int
   val reset : t -> unit
   val find : string -> t option
   val all : unit -> t list
@@ -327,9 +295,8 @@ module Slo : sig
             unspent; negative when overspent *)
   }
 
-  (** Find-or-create by name; [objective] defaults to 0.99 (clamped to
-      [0,1]), [window] to 60 s. Parameters are fixed at first
-      creation. *)
+  (** [objective] defaults to 0.99 (clamped to [0,1]), [window] to
+      60 s. *)
   val make : ?objective:float -> ?window:float -> target:float -> string -> t
 
   (** Record one observed latency (seconds). *)
@@ -337,9 +304,6 @@ module Slo : sig
 
   val status : t -> status
   val name : t -> string
-  val target : t -> float
-  val objective : t -> float
-  val window_seconds : t -> float
   val reset : t -> unit
   val find : string -> t option
   val all : unit -> t list
@@ -353,8 +317,8 @@ end
     cumulative tally, a per-GPM-version tally, a count-based rolling
     window, and a Page–Hinkley change-point test over the stream mean;
     when the PH statistic crosses the alarm threshold, a structured
-    {!Health.event} is appended to a bounded, mutex-guarded global
-    event ring (mirroring the serve layer's audit ring) and the
+    {!Health.event} is appended to a global {!Ring} (the serve
+    layer's audit trail is one too) and the
     detector re-arms. Rolling rates are request-indexed (no clock), and
     event timestamps come from {!now}, so the whole pipeline is
     deterministic under an injected clock ({!set_clock}). *)
@@ -377,8 +341,6 @@ module Health : sig
 
   type t
 
-  (** Find-or-create, like {!Counter.make}. [config] is fixed at first
-      creation. *)
   val make : ?config:config -> string -> t
 
   (** [observe ?version s positive] feeds one boolean observation,
@@ -447,15 +409,13 @@ module Health : sig
     unit ->
     event
 
-  (** Retained events, oldest first; [last] keeps only the newest [n]. *)
+  (** The global event {!Ring} (256 events by default): the retained
+      events, oldest first ([last] keeps only the newest [n]); the
+      number ever emitted; a resize, which clears it; a clear. *)
   val events : ?last:int -> unit -> event list
 
-  (** Events ever emitted (retained or expired from the ring). *)
   val events_total : unit -> int
-
-  (** Resize the ring (default 256 events). Clears retained events. *)
   val set_ring_capacity : int -> unit
-
   val clear_events : unit -> unit
 
   (** One JSON object per event: [{"seq", "ts", "signal", "kind",
@@ -472,7 +432,7 @@ module Health : sig
   val read_jsonl : string -> event list
 end
 
-(** Zero every registered counter, histogram, allocation aggregate,
+(** Zero every registered counter, histogram (GC sums included),
     window, SLO, and health signal (handles stay valid), clear the
     health event ring, and clear the trace buffer. *)
 val reset : unit -> unit
@@ -517,6 +477,43 @@ module Json : sig
 
   (** Escape a string for embedding inside JSON double quotes. *)
   val escape : string -> string
+
+  (** JSON Lines: one [to_json] object per item; reading skips blank
+      lines and lets [of_json]'s exceptions propagate. *)
+  val write_jsonl : string -> ('a -> string) -> 'a list -> unit
+
+  val read_jsonl : string -> (string -> 'a) -> 'a list
+end
+
+(** {1 Bounded rings} *)
+
+(** A mutex-guarded ring keeping the newest [capacity] items of a
+    sequence ([capacity >= 1] enforced): the health event ring and the
+    serve layer's decision audit trail. Each item gets its 0-based
+    position in the sequence; {!Ring.total} keeps counting past the
+    capacity, so truncation is visible. *)
+module Ring : sig
+  type 'a t
+
+  val create : capacity:int -> 'a t
+  val capacity : 'a t -> int
+
+  (** Items retained. *)
+  val length : 'a t -> int
+
+  (** Items ever added. *)
+  val total : 'a t -> int
+
+  (** [add r make] appends [make seq] and returns it. *)
+  val add : 'a t -> (int -> 'a) -> 'a
+
+  (** Retained items, oldest first; [last] keeps only the newest [n]. *)
+  val to_list : ?last:int -> 'a t -> 'a list
+
+  val clear : 'a t -> unit
+
+  (** Empty the ring and change its capacity. *)
+  val resize : 'a t -> int -> unit
 end
 
 (** {1 Structured logging} *)

@@ -1,7 +1,4 @@
-(* The bounded decision audit ring. See audit.mli. The ring is an array
-   indexed by [seq mod capacity], so wraparound keeps exactly the newest
-   [capacity] records and the oldest-first order of [to_list] follows
-   from the sequence numbers alone. *)
+(* The decision audit trail: an [Obs.Ring] of records. See audit.mli. *)
 
 type record = {
   seq : int;
@@ -19,65 +16,36 @@ type record = {
   latency : float;
 }
 
-type t = {
-  cap : int;
-  buf : record option array;
-  mutable total : int;
-  mu : Mutex.t;
-}
+type t = record Obs.Ring.t
 
-let create ~capacity =
-  let cap = max 1 capacity in
-  { cap; buf = Array.make cap None; total = 0; mu = Mutex.create () }
-
-let capacity t = t.cap
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let length t = locked t @@ fun () -> min t.total t.cap
-let total t = locked t @@ fun () -> t.total
+let create ~capacity : t = Obs.Ring.create ~capacity
+let capacity = Obs.Ring.capacity
+let length = Obs.Ring.length
+let total = Obs.Ring.total
 
 let add t ~ts ~trace_id ~context_fp ~gpm_version ~options ~chosen
     ~fallback_used ~compliant ~provenance ~ground_hits ~ground_misses ~latency
     =
-  locked t @@ fun () ->
-  let seq = t.total in
-  t.buf.(seq mod t.cap) <-
-    Some
-      {
-        seq;
-        ts;
-        trace_id;
-        context_fp;
-        gpm_version;
-        options;
-        chosen;
-        fallback_used;
-        compliant;
-        provenance;
-        ground_hits;
-        ground_misses;
-        latency;
-      };
-  t.total <- t.total + 1;
-  seq
+  (Obs.Ring.add t (fun seq ->
+       {
+         seq;
+         ts;
+         trace_id;
+         context_fp;
+         gpm_version;
+         options;
+         chosen;
+         fallback_used;
+         compliant;
+         provenance;
+         ground_hits;
+         ground_misses;
+         latency;
+       }))
+    .seq
 
-let to_list ?last t =
-  locked t @@ fun () ->
-  let kept = min t.total t.cap in
-  let kept = match last with Some n -> min kept (max 0 n) | None -> kept in
-  let first_seq = t.total - kept in
-  List.init kept (fun i ->
-      match t.buf.((first_seq + i) mod t.cap) with
-      | Some r -> r
-      | None -> assert false (* seqs below [total] are always filled *))
-
-let clear t =
-  locked t @@ fun () ->
-  Array.fill t.buf 0 t.cap None;
-  t.total <- 0
+let to_list = Obs.Ring.to_list
+let clear = Obs.Ring.clear
 
 let record_to_json r =
   let b = Buffer.create 256 in
@@ -141,26 +109,5 @@ let record_of_json line =
     latency = fnum "latency_s";
   }
 
-let write_jsonl path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun r ->
-          output_string oc (record_to_json r);
-          output_char oc '\n')
-        records)
-
-let read_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | "" -> go acc
-        | line -> go (record_of_json line :: acc)
-      in
-      go [])
+let write_jsonl path records = Obs.Json.write_jsonl path record_to_json records
+let read_jsonl path = Obs.Json.read_jsonl path record_of_json

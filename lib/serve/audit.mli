@@ -1,5 +1,5 @@
-(** The decision audit trail: a bounded, mutex-protected ring of
-    per-decision records kept by a serving engine.
+(** The decision audit trail: an [Obs.Ring] (bounded, mutex-protected)
+    of per-decision records kept by a serving engine.
 
     Every decision the engine serves appends one record carrying the
     request's trace ID (joinable against span [trace] attributes and

@@ -139,8 +139,6 @@ type counters = {
   cs_delta_facts : Obs.Counter.t;
   cs_delta_rules : Obs.Counter.t;
   cs_delta_fallbacks : Obs.Counter.t;
-  cl_coalesced : Obs.Counter.t;
-  cl_rejected : Obs.Counter.t;
   w_decide : Obs.Window.t;
 }
 
@@ -160,8 +158,6 @@ let counters =
       cs_delta_facts = Obs.Counter.make "serve.delta.facts";
       cs_delta_rules = Obs.Counter.make "serve.delta.rules";
       cs_delta_fallbacks = Obs.Counter.make "serve.delta.fallbacks";
-      cl_coalesced = Obs.Counter.make "serve.cluster.coalesced";
-      cl_rejected = Obs.Counter.make "serve.cluster.rejected";
       w_decide = Obs.Window.make "serve.decide";
     }
 
@@ -735,6 +731,10 @@ module Cluster = struct
     mutable cl_submitted : int;
     mutable cl_coalesced : int;
     mutable cl_rejected : int;
+    c_coalesced : Obs.Counter.t;
+        (** the process-wide [serve.cluster.*] counters, registered when
+            a cluster is created, not by every engine *)
+    c_rejected : Obs.Counter.t;
   }
 
   let locked t f =
@@ -762,6 +762,8 @@ module Cluster = struct
       cl_submitted = 0;
       cl_coalesced = 0;
       cl_rejected = 0;
+      c_coalesced = Obs.Counter.make "serve.cluster.coalesced";
+      c_rejected = Obs.Counter.make "serve.cluster.rejected";
     }
 
   let tenants t = List.map fst t.cl_shards
@@ -779,9 +781,8 @@ module Cluster = struct
     | None -> invalid_arg ("Serve.Cluster.set_gpm: unknown tenant " ^ tenant)
 
   let reject t tk reason =
-    let c = Lazy.force counters in
     locked t (fun () -> t.cl_rejected <- t.cl_rejected + 1);
-    Obs.Counter.incr c.cl_rejected;
+    Obs.Counter.incr t.c_rejected;
     tk.resolved <- Some (Rejected reason);
     tk
 
@@ -825,7 +826,6 @@ module Cluster = struct
     match entries with
     | [] -> 0
     | _ ->
-      let c = Lazy.force counters in
       let pool = match pool with Some p -> p | None -> Par.Config.pool () in
       let groups :
           ( string * int * string list,
@@ -865,7 +865,7 @@ module Cluster = struct
       let n_coalesced = List.length entries - Array.length reps in
       if n_coalesced > 0 then begin
         locked t (fun () -> t.cl_coalesced <- t.cl_coalesced + n_coalesced);
-        Obs.Counter.incr c.cl_coalesced ~by:n_coalesced
+        Obs.Counter.incr t.c_coalesced ~by:n_coalesced
       end;
       let responses =
         Par.parallel_map pool

@@ -98,6 +98,27 @@ let test_fine_span_gating () =
 
 (* ---- counters and histograms ------------------------------------------ *)
 
+(* Every metric kind keeps its handles in the one find-or-create
+   registry: [make] twice returns the same handle, [find] returns it,
+   [all ()] is sorted by name, and [Obs.reset ()] zeroes it. *)
+let check_kind kind ~make ~find ~all ~name ~feed ~level =
+  let b = Printf.sprintf "reg.%s.b" kind in
+  let h = make b in
+  ignore (make (Printf.sprintf "reg.%s.a" kind));
+  Alcotest.(check bool) (kind ^ ": make twice, same handle") true (make b == h);
+  Alcotest.(check bool) (kind ^ ": find returns it") true
+    (match find b with Some h' -> h' == h | None -> false);
+  let names = List.map name (all ()) in
+  Alcotest.(check (list string))
+    (kind ^ ": all sorted by name")
+    (List.sort String.compare names)
+    names;
+  Alcotest.(check bool) (kind ^ ": all lists it") true (List.mem b names);
+  feed h;
+  Alcotest.(check bool) (kind ^ ": fed") true (level h > 0);
+  Obs.reset ();
+  Alcotest.(check int) (kind ^ ": reset zeroes it") 0 (level h)
+
 let test_counters () =
   Obs.reset ();
   let c = Obs.Counter.make "test.counter" in
@@ -109,7 +130,32 @@ let test_counters () =
   Obs.Counter.incr c';
   Alcotest.(check int) "shared handle" 43 (Obs.Counter.value c);
   Obs.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Obs.Counter.value c')
+  Alcotest.(check int) "reset" 0 (Obs.Counter.value c');
+  (* every kind, the counter included, through the same checks *)
+  with_fake_clock @@ fun () ->
+  check_kind "counter" ~make:Obs.Counter.make ~find:Obs.Counter.find
+    ~all:Obs.Counter.all ~name:Obs.Counter.name
+    ~feed:(fun c -> Obs.Counter.incr c)
+    ~level:Obs.Counter.value;
+  check_kind "histogram" ~make:Obs.Histogram.make ~find:Obs.Histogram.find
+    ~all:Obs.Histogram.all ~name:Obs.Histogram.name
+    ~feed:(fun h -> Obs.Histogram.observe h 1.0)
+    ~level:Obs.Histogram.count;
+  check_kind "window"
+    ~make:(fun n -> Obs.Window.make n)
+    ~find:Obs.Window.find ~all:Obs.Window.all ~name:Obs.Window.name
+    ~feed:(fun w -> Obs.Window.observe w 1.0)
+    ~level:Obs.Window.count;
+  check_kind "slo"
+    ~make:(fun n -> Obs.Slo.make ~target:0.5 n)
+    ~find:Obs.Slo.find ~all:Obs.Slo.all ~name:Obs.Slo.name
+    ~feed:(fun s -> Obs.Slo.record s 1.0)
+    ~level:(fun s -> (Obs.Slo.status s).Obs.Slo.total);
+  check_kind "health"
+    ~make:(fun n -> Obs.Health.make n)
+    ~find:Obs.Health.find ~all:Obs.Health.all ~name:Obs.Health.name
+    ~feed:(fun h -> Obs.Health.observe h true)
+    ~level:Obs.Health.observations
 
 let test_histograms () =
   Obs.reset ();
@@ -218,12 +264,15 @@ let test_gc_accounting () =
       (* enough boxed-float allocation to be unmissable on the minor heap *)
       let a = Array.init 50_000 (fun i -> float_of_int i +. 0.5) in
       Array.iter (fun x -> sum := !sum +. x) a);
-  (match Obs.Alloc.find "test.gc_span" with
-  | None -> Alcotest.fail "no allocation aggregate recorded"
+  let agg name =
+    List.find_opt (fun a -> a.Obs.agg_name = name) (Obs.report ()).Obs.r_spans
+  in
+  (match agg "test.gc_span" with
+  | None -> Alcotest.fail "span missing from report"
   | Some a ->
-    Alcotest.(check int) "one contributing span" 1 (Obs.Alloc.count a);
-    Alcotest.(check bool) "minor words counted" true
-      (Obs.Alloc.minor_words a > 10_000.0));
+    Alcotest.(check int) "one span" 1 a.Obs.agg_count;
+    Alcotest.(check bool) "minor words summed on the span's histogram" true
+      (a.Obs.agg_minor_words > 10_000.0));
   (match !captured with
   | None -> Alcotest.fail "no span delivered"
   | Some sp ->
@@ -231,13 +280,19 @@ let test_gc_accounting () =
       (List.mem_assoc "gc.minor_words" sp.Obs.sp_attrs);
     Alcotest.(check bool) "gc.major_collections attr present" true
       (List.mem_assoc "gc.major_collections" sp.Obs.sp_attrs));
-  (* gate closed: no aggregate, no attrs *)
+  (* gate closed: no sums *)
   Obs.set_gc_stats false;
   Obs.span "test.gc_off" (fun () -> ignore (Array.init 1000 Fun.id));
-  Alcotest.(check bool) "no aggregate when disabled" true
-    (match Obs.Alloc.find "test.gc_off" with
-    | None -> true
-    | Some a -> Obs.Alloc.count a = 0)
+  let no_sums name =
+    match agg name with
+    | None -> false
+    | Some a -> a.Obs.agg_minor_words = 0.0 && a.Obs.agg_major_collections = 0
+  in
+  Alcotest.(check bool) "no sums when disabled" true (no_sums "test.gc_off");
+  (* a reset zeroes the sums with the rest of the histogram *)
+  Obs.reset ();
+  Obs.span "test.gc_span" (fun () -> ());
+  Alcotest.(check bool) "reset zeroes the sums" true (no_sums "test.gc_span")
 
 (* the report surfaces allocation aggregates next to the quantiles *)
 let test_report_gc_columns () =
@@ -482,23 +537,24 @@ let test_report () =
   Alcotest.(check (float 1e-9)) "json counter" 7.0
     Json.(to_num (member "w.count" (member "counters" json)))
 
+(* The engine's named counters move with the work they name: one
+   [Solver.solve] of a two-model program grounds once, solves once and
+   finds two models. *)
 let test_stats_view () =
   Obs.reset ();
+  let names = [ "asp.ground.calls"; "asp.solve.calls"; "asp.solve.models" ] in
+  let values () =
+    List.map (fun n -> Obs.Counter.value (Obs.Counter.make n)) names
+  in
+  let before = values () in
   let p = Asp.Parser.parse_program "a :- not b. b :- not a." in
-  let models, stats = Asp.Stats.with_diff (fun () -> Asp.Solver.solve p) in
+  let models = Asp.Solver.solve p in
   Alcotest.(check int) "two models" 2 (List.length models);
-  Alcotest.(check int) "one ground call" 1 stats.Asp.Stats.ground_calls;
-  Alcotest.(check int) "one solve call" 1 stats.Asp.Stats.solve_calls;
-  Alcotest.(check int) "models counted" 2 stats.Asp.Stats.models_found;
-  Alcotest.(check bool) "ground time measured" true
-    (stats.Asp.Stats.ground_seconds >= 0.0);
-  (* the same numbers are visible through the Obs registry *)
-  Alcotest.(check int) "registry agrees"
-    (Obs.Counter.value (Obs.Counter.make "asp.solve.calls"))
-    stats.Asp.Stats.solve_calls;
-  (* a second scoped measurement starts from zero *)
-  let _, stats2 = Asp.Stats.with_diff (fun () -> Asp.Solver.solve p) in
-  Alcotest.(check int) "diff is scoped" 1 stats2.Asp.Stats.solve_calls
+  Alcotest.(check (list int))
+    "ground calls, solve calls, models move by 1, 1, 2" [ 1; 1; 2 ]
+    (List.map2 ( - ) (values ()) before);
+  Alcotest.(check int) "one asp.ground span" 1
+    (Obs.Histogram.count (Obs.Histogram.make "asp.ground"))
 
 (* ---- qcheck: report totals equal the sum of span durations ------------ *)
 
