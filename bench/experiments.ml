@@ -932,7 +932,7 @@ let par_outcomes_identical () =
 
 let par ~quick () =
   section "PAR  Parallel learner: wall-clock and outcome identity vs domains";
-  let n, rounds = if quick then (24, 1) else (4000, 5) in
+  let n, rounds = if quick then (24, 1) else (12000, 5) in
   let space = Ilp.Hypothesis_space.generate (Workloads.Cav.modes ()) in
   let degrees = [ 1; 2; 4 ] in
   let all_runs =

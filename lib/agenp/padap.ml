@@ -30,8 +30,8 @@ type t = {
   config : config;
   gpm0 : Asg.Gpm.t;  (** the PReP-refined initial model *)
   mutable hypothesis : Ilp.Task.hypothesis;
-  mutable examples : Ilp.Example.t list;  (** newest first *)
-  mutable recent_violations : bool list;  (** newest first, window-capped *)
+  examples : Ilp.Example.t Obs.Ring.t;  (** the last [memory] examples *)
+  recent_violations : bool Obs.Ring.t;  (** the last [window] observations *)
   mutable relearn_count : int;
   mutable context_changed : bool;
       (** external signal: the operating context has shifted *)
@@ -47,8 +47,8 @@ let create config gpm0 =
     config;
     gpm0;
     hypothesis = [];
-    examples = [];
-    recent_violations = [];
+    examples = Obs.Ring.create ~capacity:config.memory;
+    recent_violations = Obs.Ring.create ~capacity:config.window;
     relearn_count = 0;
     context_changed = false;
     current = Ilp.Task.apply_hypothesis gpm0 [];
@@ -60,40 +60,30 @@ let gpm (t : t) : Asg.Gpm.t = t.current
 let refresh (t : t) =
   t.current <- Ilp.Task.apply_hypothesis t.gpm0 t.hypothesis
 
-let examples t = t.examples
+(** Newest first. *)
+let examples t = List.rev (Obs.Ring.to_list t.examples)
+
 let relearn_count t = t.relearn_count
 
+(* [Obs.Ring.create] clamps its capacity to 1: a bound of 0 keeps nothing *)
+let push ring ~bound x = if bound > 0 then ignore (Obs.Ring.add ring (fun _ -> x))
+
 let add_example (t : t) (e : Ilp.Example.t) =
-  t.examples <- e :: t.examples;
-  if List.length t.examples > t.config.memory then
-    t.examples <- List.filteri (fun i _ -> i < t.config.memory) t.examples
+  push t.examples ~bound:t.config.memory e
 
 (** Record whether the last decision violated the environment's ground
     truth (as observed by monitoring). *)
 let record_violation (t : t) (violated : bool) =
-  t.recent_violations <- violated :: t.recent_violations;
-  if List.length t.recent_violations > t.config.window then
-    t.recent_violations <-
-      List.filteri (fun i _ -> i < t.config.window) t.recent_violations
+  push t.recent_violations ~bound:t.config.window violated
 
 let violation_rate (t : t) =
-  match t.recent_violations with
+  match Obs.Ring.to_list t.recent_violations with
   | [] -> 0.0
   | vs ->
     float_of_int (List.length (List.filter Fun.id vs))
     /. float_of_int (List.length vs)
 
 let c_relearns = Obs.Counter.make "agenp.padap.relearns"
-
-(* fraction of the retained evidence the model covers — the accuracy
-   the relearn lifecycle event reports before/after an adaptation *)
-let evidence_accuracy (gpm : Asg.Gpm.t) (examples : Ilp.Example.t list) :
-    float =
-  match examples with
-  | [] -> 1.0
-  | es ->
-    float_of_int (List.length (List.filter (Ilp.Task.covers gpm) es))
-    /. float_of_int (List.length es)
 
 (** Unconditional relearning from the accumulated evidence. Keeps the old
     hypothesis when the task has become unsolvable. [reason] labels the
@@ -103,11 +93,22 @@ let relearn ?(reason = "manual") (t : t) : [ `Updated | `Unchanged | `Failed ]
     =
   Obs.span "agenp.padap.relearn" ~attrs:[ ("reason", reason) ] @@ fun () ->
   Obs.Counter.incr c_relearns;
-  let examples = List.rev t.examples in
+  let examples = Obs.Ring.to_list t.examples in
   let old_size = List.length t.hypothesis in
   let old_version = Asg.Gpm.version t.current in
-  let old_accuracy = evidence_accuracy t.current examples in
   let task = Ilp.Task.make ~gpm:t.gpm0 ~space:t.config.space ~examples in
+  let outcome = Ilp.Learner.learn ?pool:t.config.pool task in
+  (* the share of the retained evidence [gpm0 : h] covers, read from the
+     learner's witnesses: the accuracy the lifecycle event reports
+     before and after the adaptation *)
+  let accuracy h =
+    match examples with
+    | [] -> 1.0
+    | es ->
+      float_of_int (Ilp.Learner.covered task outcome h)
+      /. float_of_int (List.length es)
+  in
+  let old_accuracy = accuracy t.hypothesis in
   let emit status new_accuracy =
     ignore
       (Obs.Health.emit ~signal:"padap.relearn" ~kind:"relearn"
@@ -120,7 +121,7 @@ let relearn ?(reason = "manual") (t : t) : [ `Updated | `Unchanged | `Failed ]
          ~detail:(reason ^ ":" ^ status) ()
         : Obs.Health.event)
   in
-  match Ilp.Learner.learn ?pool:t.config.pool task with
+  match outcome with
   | None ->
     emit "failed" old_accuracy;
     `Failed
@@ -137,10 +138,8 @@ let relearn ?(reason = "manual") (t : t) : [ `Updated | `Unchanged | `Failed ]
     in
     t.hypothesis <- outcome.Ilp.Learner.hypothesis;
     refresh t;
-    t.recent_violations <- [];
-    emit
-      (if same then "unchanged" else "updated")
-      (evidence_accuracy t.current examples);
+    Obs.Ring.clear t.recent_violations;
+    emit (if same then "unchanged" else "updated") (accuracy t.hypothesis);
     if same then `Unchanged else `Updated
 
 (** Signal a context shift (from the PIP or an operator): the next
@@ -153,10 +152,11 @@ let signal_context_change (t : t) = t.context_changed <- true
     signalled. *)
 let maybe_adapt (t : t) : [ `Updated | `Unchanged | `Failed | `Not_triggered ] =
   let violation_trigger =
-    List.length t.recent_violations >= t.config.window
+    Obs.Ring.length t.recent_violations >= t.config.window
     && violation_rate t >= t.config.relearn_threshold
   in
-  if (violation_trigger || t.context_changed) && t.examples <> [] then begin
+  if (violation_trigger || t.context_changed) && Obs.Ring.length t.examples > 0
+  then begin
     let reason =
       if violation_trigger then "violation_rate" else "context_change"
     in

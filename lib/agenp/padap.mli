@@ -21,8 +21,9 @@ type t = {
   config : config;
   gpm0 : Asg.Gpm.t;  (** the PReP-refined initial model *)
   mutable hypothesis : Ilp.Task.hypothesis;
-  mutable examples : Ilp.Example.t list;
-  mutable recent_violations : bool list;
+  examples : Ilp.Example.t Obs.Ring.t;  (** the last [memory] examples *)
+  recent_violations : bool Obs.Ring.t;
+      (** the last [window] observations; cleared by a successful relearn *)
   mutable relearn_count : int;
   mutable context_changed : bool;
   mutable current : Asg.Gpm.t;
@@ -35,6 +36,7 @@ val create : config -> Asg.Gpm.t -> t
 (** The current learned GPM (initial model + hypothesis). *)
 val gpm : t -> Asg.Gpm.t
 
+(** The retained examples, newest first. *)
 val examples : t -> Ilp.Example.t list
 val relearn_count : t -> int
 val add_example : t -> Ilp.Example.t -> unit
@@ -45,7 +47,8 @@ val violation_rate : t -> float
     Emits an {!Obs.Health} lifecycle event (signal ["padap.relearn"],
     kind ["relearn"]) carrying the trigger [reason] (default
     ["manual"]), examples consumed, old/new hypothesis size, and the
-    accuracy delta over the retained evidence. *)
+    accuracy delta over the retained evidence. Both accuracies are read
+    from the learner's witnesses ({!Ilp.Learner.covered}). *)
 val relearn : ?reason:string -> t -> [ `Updated | `Unchanged | `Failed ]
 
 (** Signal a context shift: the next [maybe_adapt] relearns regardless of

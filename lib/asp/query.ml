@@ -63,24 +63,34 @@ and count_holds (m : Atom.Set.t) (c : Rule.count) : bool =
     Rule.eval_cmp c.count_op (Term.Int (count_value m c)) k
   | Some _ | None -> false
 
-(** Does some substitution make every element of [body] true in [m]?
-    Positive literals are matched against the model's atoms; comparisons
-    are evaluated once their variables are bound (an [=] against a free
-    variable binds it); negative literals and aggregates are checked last
-    and must be outer-ground by then. *)
-let body_holds (m : Atom.Set.t) (body : Rule.body_elt list) : bool =
-  let atoms = Atom.Set.elements m in
+(** A model with its atoms grouped by predicate and arity: what matching a
+    non-ground positive literal looks up. Read-only once built, so one
+    index may be shared across domains. *)
+type index = {
+  model : Atom.Set.t;
+  by_pred : (string * int, Atom.t list) Hashtbl.t;
+}
+
+let index (m : Atom.Set.t) : index =
   let by_pred = Hashtbl.create 16 in
-  List.iter
+  Atom.Set.iter
     (fun (a : Atom.t) ->
       let key = (a.pred, Atom.arity a) in
       let existing = Option.value ~default:[] (Hashtbl.find_opt by_pred key) in
       Hashtbl.replace by_pred key (a :: existing))
-    atoms;
+    m;
+  { model = m; by_pred }
+
+(* Positive literals first, then comparisons, then negatives/aggregates.
+   The index is forced only by a positive literal still non-ground when
+   it is reached, so a body whose positive literals are all ground never
+   builds one. *)
+let holds (idx : index Lazy.t) (m : Atom.Set.t) (body : Rule.body_elt list) :
+    bool =
   let candidates (a : Atom.t) =
-    Option.value ~default:[] (Hashtbl.find_opt by_pred (a.pred, Atom.arity a))
+    Option.value ~default:[]
+      (Hashtbl.find_opt (Lazy.force idx).by_pred (a.pred, Atom.arity a))
   in
-  (* positive literals first, then comparisons, then negatives/aggregates *)
   let pos, rest = List.partition (function Rule.Pos _ -> true | _ -> false) body in
   let cmps, negs = List.partition (function Rule.Cmp _ -> true | _ -> false) rest in
   let ordered = pos @ cmps @ negs in
@@ -123,11 +133,29 @@ let body_holds (m : Atom.Set.t) (body : Rule.body_elt list) : bool =
   in
   go Term.subst_empty ordered
 
+(** Does some substitution make every element of [body] true in [m]?
+    Positive literals are matched against the model's atoms; comparisons
+    are evaluated once their variables are bound (an [=] against a free
+    variable binds it); negative literals and aggregates are checked last
+    and must be outer-ground by then. *)
+let body_holds (m : Atom.Set.t) (body : Rule.body_elt list) : bool =
+  holds (lazy (index m)) m body
+
+(** {!body_holds} against a prebuilt index. *)
+let body_holds_in (idx : index) (body : Rule.body_elt list) : bool =
+  holds (Lazy.from_val idx) idx.model body
+
 (** Is a constraint violated by [m]? (Its body holds.) Non-constraint
     rules are never "violated" in this sense. *)
 let violates (m : Atom.Set.t) (r : Rule.t) : bool =
   match r.Rule.head with
   | Rule.Falsity -> body_holds m r.Rule.body
+  | Rule.Head _ | Rule.Choice _ | Rule.Weak _ -> false
+
+(** {!violates} against a prebuilt index. *)
+let violates_in (idx : index) (r : Rule.t) : bool =
+  match r.Rule.head with
+  | Rule.Falsity -> body_holds_in idx r.Rule.body
   | Rule.Head _ | Rule.Choice _ | Rule.Weak _ -> false
 
 (** All substitutions (as ground body instances) making [body] hold —

@@ -40,18 +40,22 @@ type stats = {
   max_depth : int;  (** deepest refinement (chosen-set size) reached *)
 }
 
+type witness = {
+  ex_idx : int;
+  model : Asp.Solver.model;
+  index : Asp.Query.index;  (** [model]'s index, built with the witness *)
+  traces_by_prod : (int * int list list) list;  (** prod id -> node traces *)
+}
+
 type outcome = {
   hypothesis : Task.hypothesis;
   cost : int;  (** total cost of hypothesis rules *)
   penalty : int;  (** total weight of sacrificed (uncovered) examples *)
   sacrificed : Example.t list;
   stats : stats;
-}
-
-type witness = {
-  ex_idx : int;
-  model : Asp.Solver.model;
-  traces_by_prod : (int * int list list) list;  (** prod id -> node traces *)
+  evidence : (witness list * bool) list;
+      (** per task example, in order: its witnesses and whether the cap
+          truncated them; empty on the general path *)
 }
 
 (* Witness enumeration with exact truncation detection: each solve asks
@@ -80,7 +84,14 @@ let witnesses_of_example_counted ?(max_witnesses = 64) (gpm : Asg.Gpm.t)
           (fun k model ->
             if k < remaining then begin
               incr count;
-              out := { ex_idx = -1; model; traces_by_prod } :: !out
+              out :=
+                {
+                  ex_idx = -1;
+                  model;
+                  index = Asp.Query.index model;
+                  traces_by_prod;
+                }
+                :: !out
             end
             else truncated := true)
           models
@@ -93,18 +104,34 @@ let witnesses_of_example_counted ?(max_witnesses = 64) (gpm : Asg.Gpm.t)
 let witnesses_of_example ?max_witnesses gpm e =
   fst (witnesses_of_example_counted ?max_witnesses gpm e)
 
-(** Does candidate [c] kill witness [w]? True when the candidate's
-    constraint, instantiated at some node of the witness's tree carrying
-    the candidate's production, is violated by the witness's model. *)
-let kills (c : Hypothesis_space.candidate) (w : witness) : bool =
+(* [kills] with [instantiate trace] giving the candidate's rule at a node *)
+let kills_with instantiate (c : Hypothesis_space.candidate) (w : witness) =
   match List.assoc_opt c.Hypothesis_space.prod_id w.traces_by_prod with
   | None -> false
   | Some traces ->
     List.exists
-      (fun trace ->
-        let rule = Asg.Annotation.instantiate_rule trace c.Hypothesis_space.rule in
-        Asp.Query.violates w.model rule)
+      (fun trace -> Asp.Query.violates_in w.index (instantiate trace))
       traces
+
+(** Does candidate [c] kill witness [w]? True when the candidate's
+    constraint, instantiated at some node of the witness's tree carrying
+    the candidate's production, is violated by the witness's model. *)
+let kills (c : Hypothesis_space.candidate) (w : witness) : bool =
+  kills_with
+    (fun trace -> Asg.Annotation.instantiate_rule trace c.Hypothesis_space.rule)
+    c w
+
+(* The candidate's rule instantiated once per distinct trace. The memo
+   belongs to its caller: the kill matrix makes one per candidate row. *)
+let instantiator (c : Hypothesis_space.candidate) : int list -> Asp.Rule.t =
+  let memo = Hashtbl.create 4 in
+  fun trace ->
+    match Hashtbl.find_opt memo trace with
+    | Some r -> r
+    | None ->
+      let r = Asg.Annotation.instantiate_rule trace c.Hypothesis_space.rule in
+      Hashtbl.add memo trace r;
+      r
 
 exception Infeasible
 
@@ -132,30 +159,23 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
   (* collect witnesses: per-example enumeration fans out across the pool
      (each example is independent); assembly stays sequential in example
      order so witness ids match the sequential run bit for bit *)
-  let witnesses = ref [] in
-  let n_wit = ref 0 in
-  let n_truncated = ref 0 in
-  let wit_ids_of_ex = Array.make n_ex [] in
-  Obs.span "ilp.witnesses" (fun () ->
-      let per_example =
+  let evidence =
+    Obs.span "ilp.witnesses" (fun () ->
         Par.parallel_map pool
           (fun e -> witnesses_of_example_counted ~max_witnesses t.Task.gpm e)
           examples
-      in
-      Array.iteri
-        (fun i (ws, truncated) ->
-          if truncated then incr n_truncated;
-          List.iter
-            (fun w ->
-              let wid = !n_wit in
-              incr n_wit;
-              witnesses := { w with ex_idx = i } :: !witnesses;
-              wit_ids_of_ex.(i) <- wid :: wit_ids_of_ex.(i))
-            ws)
-        per_example);
-  let witnesses = Array.of_list (List.rev !witnesses) in
-  let n_wit = !n_wit in
-  let n_truncated = !n_truncated in
+        |> Array.mapi (fun i (ws, truncated) ->
+               (List.map (fun w -> { w with ex_idx = i }) ws, truncated)))
+  in
+  let witnesses = Array.of_list (List.concat_map fst (Array.to_list evidence)) in
+  let n_wit = Array.length witnesses in
+  let wit_ids_of_ex = Array.make n_ex [] in
+  Array.iteri
+    (fun wid w -> wit_ids_of_ex.(w.ex_idx) <- wid :: wit_ids_of_ex.(w.ex_idx))
+    witnesses;
+  let n_truncated =
+    Array.fold_left (fun n (_, tr) -> if tr then n + 1 else n) 0 evidence
+  in
   if n_truncated > 0 then
     Obs.Log.warn
       "witness enumeration hit the cap; the result may change with a larger \
@@ -177,8 +197,10 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
         (fun ci ->
           Obs.Counter.incr c_candidate_evals;
           Obs.fine_span "ilp.candidate_eval" (fun () ->
+              let c = candidates.(ci) in
+              let instantiate = instantiator c in
               for wi = 0 to n_wit - 1 do
-                if kills candidates.(ci) witnesses.(wi) then begin
+                if kills_with instantiate c witnesses.(wi) then begin
                   kill.(ci).(wi) <- true;
                   killed_by_cand.(ci) <- wi :: killed_by_cand.(ci)
                 end
@@ -498,6 +520,7 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
             kill_cells;
             max_depth = !max_depth;
           };
+        evidence = Array.to_list evidence;
       }
 
 (* ---- General path ------------------------------------------------------ *)
@@ -569,6 +592,7 @@ let learn_general ?(max_subsets = 100_000) (t : Task.t) : outcome option =
                   kill_cells = 0;
                   max_depth = !max_depth;
                 };
+              evidence = [];
             }
         else begin
           for ci = next to n - 1 do
@@ -588,6 +612,42 @@ let learn ?pool ?max_witnesses (t : Task.t) : outcome option =
   if List.for_all Hypothesis_space.is_constraint_candidate t.Task.space then
     learn_constraints ?pool ?max_witnesses t
   else learn_general t
+
+(** How many of the task's examples [G : h] covers, [G] the task's base
+    GPM and [outcome] the result of learning the task. A constraint-only
+    [h] only removes answer sets, so an example is decided by its
+    witnesses: a positive one is covered iff some witness survives [h], a
+    negative one iff none does. {!Task.covers} decides an example whose
+    witnesses were truncated, and every example when [h] has a
+    non-constraint rule or there are no witnesses (the general path, or
+    no outcome). *)
+let covered (t : Task.t) (outcome : outcome option) (h : Task.hypothesis) :
+    int =
+  let evidence =
+    match outcome with
+    | Some o when List.for_all Hypothesis_space.is_constraint_candidate h ->
+      o.evidence
+    | Some _ | None -> []
+  in
+  let extended = lazy (Task.apply_hypothesis t.Task.gpm h) in
+  let covers e = Task.covers (Lazy.force extended) e in
+  let rules = List.map (fun c -> (c, instantiator c)) h in
+  let survives w =
+    not (List.exists (fun (c, instantiate) -> kills_with instantiate c w) rules)
+  in
+  let count f l = List.fold_left (fun n x -> if f x then n + 1 else n) 0 l in
+  if List.compare_lengths evidence t.Task.examples <> 0 then
+    count covers t.Task.examples
+  else
+    count
+      (fun ((e : Example.t), (ws, truncated)) ->
+        if truncated then covers e
+        else
+          let alive = List.exists survives ws in
+          match e.Example.label with
+          | Example.Positive -> alive
+          | Example.Negative -> not alive)
+      (List.combine t.Task.examples evidence)
 
 let pp_outcome ppf o =
   Fmt.pf ppf "learned %d rule(s), cost %d, penalty %d (%d witnesses%s, %d nodes, %.3fs)"

@@ -32,20 +32,26 @@ type stats = {
           at once during the search *)
 }
 
+(** A witness: one (parse tree, answer set) pair of an example under the
+    base grammar; exposed for testing and diagnostics. *)
+type witness = {
+  ex_idx : int;
+  model : Asp.Solver.model;
+  index : Asp.Query.index;
+      (** [model]'s index, built once when the witness is made *)
+  traces_by_prod : (int * int list list) list;
+}
+
 type outcome = {
   hypothesis : Task.hypothesis;
   cost : int;  (** total cost of hypothesis rules *)
   penalty : int;  (** total weight of sacrificed examples *)
   sacrificed : Example.t list;
   stats : stats;
-}
-
-(** A witness: one (parse tree, answer set) pair of an example under the
-    base grammar; exposed for testing and diagnostics. *)
-type witness = {
-  ex_idx : int;
-  model : Asp.Solver.model;
-  traces_by_prod : (int * int list list) list;
+  evidence : (witness list * bool) list;
+      (** per task example, in order: its witnesses under the task's base
+          GPM and whether the [max_witnesses] cap truncated them; empty on
+          the general path *)
 }
 
 (** All witnesses of an example under the base grammar, up to
@@ -65,6 +71,17 @@ val witnesses_of_example_counted :
 (** Does the candidate kill the witness (its constraint fires in the
     witness's model at some node of its production)? *)
 val kills : Hypothesis_space.candidate -> witness -> bool
+
+(** [covered t outcome h]: how many of [t]'s examples [G : h] covers,
+    for [G] the task's base GPM and [outcome] the result of learning [t].
+    When [h] is constraint-only it is read from the outcome's witnesses
+    (a positive example is covered iff some witness survives [h], a
+    negative one iff none does), without solving; {!Task.covers} decides
+    an example whose witnesses were truncated, and every example when [h]
+    has a non-constraint rule or the outcome holds no witnesses (the
+    general path, or [None]). Equal to counting {!Task.covers} under
+    [Task.apply_hypothesis G h]. *)
+val covered : Task.t -> outcome option -> Task.hypothesis -> int
 
 (** Greedy warm-start preference over [(gain, cost, candidate index)]
     triples: higher gain-per-cost ratio first (compared exactly, by

@@ -304,6 +304,147 @@ let test_padap_memory_cap () =
   Alcotest.(check int) "sliding window caps memory" 5
     (List.length (Agenp.Padap.examples padap))
 
+(* The relearn lifecycle event reports the Task.covers accuracies of the
+   old and the new model over the retained evidence: from the initial
+   model, from a learned model, and from an installed model with a
+   non-constraint rule (the coalition-sharing case, which falls back to
+   Task.covers). *)
+let test_padap_relearn_accuracy () =
+  let space = Ilp.Hypothesis_space.generate (Workloads.Cav.modes ()) in
+  let padap =
+    Agenp.Padap.create (Agenp.Padap.default_config space)
+      (Agenp.Prep.refine cav_spec)
+  in
+  let accuracy gpm =
+    let es = Agenp.Padap.examples padap in
+    float_of_int (List.length (List.filter (Ilp.Task.covers gpm) es))
+    /. float_of_int (List.length es)
+  in
+  let relearn_checked name =
+    let before = accuracy (Agenp.Padap.gpm padap) in
+    ignore (Agenp.Padap.relearn padap : [ `Updated | `Unchanged | `Failed ]);
+    match Obs.Health.events ~last:1 () with
+    | [ ev ] ->
+      Alcotest.(check (float 0.0)) (name ^ ": baseline") before ev.ev_baseline;
+      Alcotest.(check (float 0.0)) (name ^ ": current")
+        (accuracy (Agenp.Padap.gpm padap))
+        ev.ev_current
+    | _ -> Alcotest.fail "no relearn event"
+  in
+  let add scenarios =
+    List.iter
+      (fun (e : Ilp.Example.t) ->
+        Agenp.Padap.add_example padap { e with weight = Some 1 })
+      (Workloads.Cav.examples_of scenarios)
+  in
+  add (Workloads.Cav.sample ~seed:11 15);
+  relearn_checked "from the initial model";
+  add (Workloads.Cav.sample ~seed:12 15);
+  relearn_checked "from a learned model";
+  Agenp.Padap.install padap
+    [
+      Ilp.Hypothesis_space.candidate
+        (Asg.Annotation.parse_rule_string "needed_loa(5) :- weather(fog).")
+        0;
+    ];
+  relearn_checked "from an installed non-constraint rule"
+
+(* The evidence buffers against the list semantics they replaced: newest
+   first, capped at [memory] / [window] (0 keeps nothing), violations
+   cleared by a successful relearn. *)
+type padap_op = Add of int | Record of bool | Adapt | Signal | Relearn
+
+let prop_padap_buffers_match_lists =
+  let gpm0 =
+    Asg.Asg_parser.parse
+      {| start -> decision
+         decision -> "accept" { result(accept). } | "reject" { result(reject). } |}
+  in
+  let space =
+    Ilp.Hypothesis_space.of_rules
+      [
+        (":- result(accept)@1, weather(snow).", [ 0 ]);
+        (":- result(reject)@1, weather(sun).", [ 0 ]);
+      ]
+  in
+  let pool =
+    [|
+      Ilp.Example.positive_ctx ~weight:1 "accept" "weather(sun).";
+      Ilp.Example.negative_ctx ~weight:1 "accept" "weather(snow).";
+      Ilp.Example.positive_ctx ~weight:1 "reject" "weather(snow).";
+      Ilp.Example.negative_ctx ~weight:1 "reject" "weather(sun).";
+    |]
+  in
+  let rec take n = function
+    | x :: l when n > 0 -> x :: take (n - 1) l
+    | _ -> []
+  in
+  let rate = function
+    | [] -> 0.0
+    | vs ->
+      float_of_int (List.length (List.filter Fun.id vs))
+      /. float_of_int (List.length vs)
+  in
+  QCheck2.Test.make ~name:"padap rings = list reference" ~count:100
+    QCheck2.Gen.(
+      triple (int_bound 4) (int_bound 4)
+        (list_size (int_bound 40)
+           (frequency
+              [
+                (4, map (fun i -> Add i) (int_bound 3));
+                (4, map (fun v -> Record v) bool);
+                (2, return Adapt);
+                (1, return Signal);
+                (1, return Relearn);
+              ])))
+    (fun (memory, window, ops) ->
+      let config =
+        { (Agenp.Padap.default_config space) with Agenp.Padap.memory; window }
+      in
+      let p = Agenp.Padap.create config gpm0 in
+      let examples = ref [] and violations = ref [] and signalled = ref false in
+      let relearned = function
+        | `Failed -> ()
+        | `Updated | `Unchanged -> violations := []
+      in
+      List.for_all
+        (fun op ->
+          let trigger_ok =
+            match op with
+            | Add i ->
+              Agenp.Padap.add_example p pool.(i);
+              examples := take memory (pool.(i) :: !examples);
+              true
+            | Record v ->
+              Agenp.Padap.record_violation p v;
+              violations := take window (v :: !violations);
+              true
+            | Signal ->
+              Agenp.Padap.signal_context_change p;
+              signalled := true;
+              true
+            | Relearn ->
+              relearned (Agenp.Padap.relearn p);
+              true
+            | Adapt -> (
+              let expected =
+                (List.length !violations >= window
+                 && rate !violations >= config.relearn_threshold
+                || !signalled)
+                && !examples <> []
+              in
+              match Agenp.Padap.maybe_adapt p with
+              | `Not_triggered -> not expected
+              | (`Updated | `Unchanged | `Failed) as r ->
+                signalled := false;
+                relearned r;
+                expected)
+          in
+          trigger_ok
+          && List.equal ( == ) (Agenp.Padap.examples p) !examples
+          && Agenp.Padap.violation_rate p = rate !violations)
+        ops)
+
 let test_repository_representation () =
   let repo = Agenp.Repository.create () in
   Alcotest.(check bool) "no representation yet" true
@@ -391,6 +532,9 @@ let () =
           Alcotest.test_case "repository versions" `Quick test_repository_versions;
           Alcotest.test_case "context-change trigger" `Quick test_context_change_trigger;
           Alcotest.test_case "padap memory cap" `Quick test_padap_memory_cap;
+          Alcotest.test_case "padap relearn accuracy" `Quick
+            test_padap_relearn_accuracy;
+          QCheck_alcotest.to_alcotest prop_padap_buffers_match_lists;
           Alcotest.test_case "repository representation" `Quick test_repository_representation;
           Alcotest.test_case "prep cleans grammar" `Quick test_prep_cleans_operator_grammar;
         ] );

@@ -1033,6 +1033,67 @@ let prop_rule_pp_parse_roundtrip =
       | r' -> Asp.Rule.equal r r'
       | exception _ -> false)
 
+(* Query.body_holds against the enumeration of satisfying instances, on
+   random models and bodies mixing ground and non-ground positive
+   literals, negation, comparisons (an [=] may bind) and #count; the
+   indexed form must agree too *)
+let gen_query_case =
+  QCheck2.Gen.(
+    let value_g =
+      oneofl
+        [ Asp.Term.const "a"; Asp.Term.const "b"; Asp.Term.int 0;
+          Asp.Term.int 1; Asp.Term.int 2 ]
+    in
+    let var_g = oneofl [ Asp.Term.var "X"; Asp.Term.var "Y" ] in
+    let atom_g term_g =
+      oneofl [ ("p", 1); ("q", 2); ("r", 0) ] >>= fun (pred, arity) ->
+      map (Asp.Atom.make pred) (list_repeat arity term_g)
+    in
+    let term_g = oneof [ value_g; var_g ] in
+    let op_g = oneofl Asp.Rule.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+    let count_g =
+      map3
+        (fun cond op k ->
+          Asp.Rule.Count
+            {
+              tuple = [ Asp.Term.var "Z" ];
+              conditions =
+                [ Asp.Rule.Pos (Asp.Atom.make "p" [ Asp.Term.var "Z" ]) ]
+                @ cond;
+              count_op = op;
+              bound = Asp.Term.int k;
+            })
+        (oneofl
+           [ [];
+             [ Asp.Rule.Neg
+                 (Asp.Atom.make "q" [ Asp.Term.var "Z"; Asp.Term.const "a" ]) ];
+             [ Asp.Rule.Cmp (Asp.Rule.Neq, Asp.Term.var "Z", Asp.Term.int 0) ] ])
+        op_g (int_bound 3)
+    in
+    let elt_g =
+      frequency
+        [ (3, map (fun a -> Asp.Rule.Pos a) (atom_g value_g));
+          (4, map (fun a -> Asp.Rule.Pos a) (atom_g term_g));
+          (2, map (fun a -> Asp.Rule.Neg a) (atom_g term_g));
+          (2, map3 (fun op t1 t2 -> Asp.Rule.Cmp (op, t1, t2)) op_g term_g term_g);
+          (1, count_g) ]
+    in
+    pair
+      (map Asp.Atom.Set.of_list (list_size (int_bound 10) (atom_g value_g)))
+      (list_size (int_range 1 4) elt_g))
+
+let prop_body_holds_iff_instances =
+  QCheck2.Test.make ~name:"body_holds iff some satisfying instance" ~count:500
+    ~print:(fun (m, body) ->
+      Printf.sprintf "model {%s} body %s"
+        (String.concat ", " (List.map Asp.Atom.to_string (Asp.Atom.Set.elements m)))
+        (Asp.Rule.to_string { Asp.Rule.head = Asp.Rule.Falsity; body }))
+    gen_query_case
+    (fun (m, body) ->
+      let holds = Asp.Query.body_holds m body in
+      holds = (Asp.Query.satisfying_instances m body <> [])
+      && holds = Asp.Query.body_holds_in (Asp.Query.index m) body)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_term_compare_refl;
@@ -1044,7 +1105,8 @@ let qcheck_cases =
       prop_grounder_matches_naive_reference;
       prop_solver_models_match_ground_reference;
       prop_incremental_matches_full_reground;
-      prop_rule_pp_parse_roundtrip ]
+      prop_rule_pp_parse_roundtrip;
+      prop_body_holds_iff_instances ]
 
 let () =
   Alcotest.run "asp"

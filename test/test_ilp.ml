@@ -546,10 +546,220 @@ let prop_candidate_costs_positive =
         (fun (c : Ilp.Hypothesis_space.candidate) -> c.cost >= 1)
         (Ilp.Hypothesis_space.generate (Workloads.Cav.modes ~max_body ())))
 
+(* ---- Kill matrix and coverage read from the witnesses ---- *)
+
+(* The workload tasks the kill rows are checked on: flat XACML, XACML
+   with the role hierarchy (non-ground role_level(S) with comparisons),
+   CAV (V_v < V_r) and resupply. *)
+let workload_tasks () =
+  let xacml_examples =
+    Policy.Xacml.examples_of_log (Workloads.Xacml_logs.log ~seed:1 ~n:12 ())
+  in
+  let task gpm modes examples =
+    Task.make ~gpm ~space:(Hypothesis_space.generate modes) ~examples
+  in
+  [
+    ( "xacml flat",
+      task (Workloads.Xacml_logs.gpm ()) (Workloads.Xacml_logs.modes ())
+        xacml_examples );
+    ( "xacml hierarchy",
+      task
+        (Workloads.Xacml_logs.gpm_with_hierarchy ())
+        (Workloads.Xacml_logs.hierarchy_modes ())
+        xacml_examples );
+    ( "cav",
+      task (Workloads.Cav.gpm ()) (Workloads.Cav.modes ())
+        (Workloads.Cav.examples_of (Workloads.Cav.sample ~seed:42 8)) );
+    ( "resupply",
+      task (Workloads.Resupply.gpm ()) (Workloads.Resupply.modes ())
+        (List.concat_map Workloads.Resupply.examples_of_mission
+           (Workloads.Resupply.campaign ~seed:21 ~n:3 ())) );
+    (* candidates below the root, on a production that sits at different
+       traces in different witnesses *)
+    ( "repeated production",
+      Task.make
+        ~gpm:
+          (Asg.Asg_parser.parse
+             {| start -> slot slot
+                slot -> "north" { go(north). } | "south" { go(south). } |})
+        ~space:
+          (Hypothesis_space.of_rules
+             [
+               (":- go(X), blocked(X).", [ 1 ]);
+               (":- go(south), weather(snow).", [ 2 ]);
+             ])
+        ~examples:
+          [
+            Example.negative_ctx "north south" "blocked(north).";
+            Example.negative_ctx "south north" "blocked(north).";
+            Example.positive_ctx "south south" "blocked(north).";
+            Example.negative_ctx "north south" "weather(snow).";
+            Example.positive_ctx "north north" "weather(snow).";
+          ] );
+  ]
+
+(* the reference: count Task.covers under G : h *)
+let covers_count (t : Task.t) h =
+  let g = Task.apply_hypothesis t.Task.gpm h in
+  List.length (List.filter (Task.covers g) t.Task.examples)
+
+(* The kill oracle, independent of the learner's index: the candidate's
+   constraint, instantiated at some trace of its production, has a
+   satisfying instance on the witness model. *)
+let kill_oracle (c : Hypothesis_space.candidate) (w : Learner.witness) =
+  match List.assoc_opt c.prod_id w.Learner.traces_by_prod with
+  | None -> false
+  | Some traces ->
+    List.exists
+      (fun trace ->
+        let r = Asg.Annotation.instantiate_rule trace c.rule in
+        r.Asp.Rule.head = Asp.Rule.Falsity
+        && Asp.Query.satisfying_instances w.Learner.model r.Asp.Rule.body <> [])
+      traces
+
+let test_kill_rows_match_oracle () =
+  List.iter
+    (fun (name, (t : Task.t)) ->
+      let ws =
+        List.concat_map (Learner.witnesses_of_example t.Task.gpm) t.Task.examples
+      in
+      let set = ref 0 in
+      List.iter
+        (fun c ->
+          List.iter
+            (fun w ->
+              let oracle = kill_oracle c w in
+              if oracle then incr set;
+              if Learner.kills c w <> oracle then
+                Alcotest.failf "%s: kills [pr%d] %s = %b, oracle %b" name
+                  c.Hypothesis_space.prod_id
+                  (Asg.Annotation.rule_to_string c.Hypothesis_space.rule)
+                  (not oracle) oracle)
+            ws)
+        t.Task.space;
+      Alcotest.(check bool) (name ^ ": some cells set") true (!set > 0);
+      (* the learner's own matrix and [covered] instantiate each
+         candidate once per distinct trace *)
+      match Learner.learn_constraints t with
+      | Some o ->
+        Alcotest.(check int) (name ^ ": learner kill cells") !set
+          o.Learner.stats.Learner.kill_cells;
+        List.iter
+          (fun c ->
+            Alcotest.(check int) (name ^ ": covered by one candidate")
+              (covers_count t [ c ])
+              (Learner.covered t (Some o) [ c ]))
+          t.Task.space
+      | None -> Alcotest.failf "%s: task should solve" name)
+    (workload_tasks ())
+
+(* soft examples with some labels flipped, so learning stays feasible *)
+let relabel flips (examples : Example.t list) =
+  List.mapi
+    (fun i (e : Example.t) ->
+      let flip = List.nth flips (i mod List.length flips) in
+      let label =
+        match (e.label, flip) with
+        | l, false -> l
+        | Example.Positive, true -> Example.Negative
+        | Example.Negative, true -> Example.Positive
+      in
+      { e with label; weight = Some 1 })
+    examples
+
+let prop_covered_matches_covers =
+  let xacml_gpm = Workloads.Xacml_logs.gpm ()
+  and xacml_space = Hypothesis_space.generate (Workloads.Xacml_logs.modes ())
+  and cav_gpm = Workloads.Cav.gpm ()
+  and cav_space = Hypothesis_space.generate (Workloads.Cav.modes ()) in
+  QCheck2.Test.make ~name:"witness-derived coverage = Task.covers" ~count:20
+    QCheck2.Gen.(
+      quad bool (int_bound 1000)
+        (list_size (int_range 1 5) bool)
+        (list_size (int_bound 3) (int_bound 10_000)))
+    (fun (cav, seed, flips, picks) ->
+      let gpm, space, examples =
+        if cav then
+          ( cav_gpm,
+            cav_space,
+            Workloads.Cav.examples_of (Workloads.Cav.sample ~seed 4) )
+        else
+          ( xacml_gpm,
+            xacml_space,
+            Policy.Xacml.examples_of_log
+              (Workloads.Xacml_logs.log ~seed ~n:8 ()) )
+      in
+      let t = Task.make ~gpm ~space ~examples:(relabel flips examples) in
+      let outcome = Learner.learn_constraints t in
+      let drawn =
+        List.sort_uniq compare
+          (List.map (fun i -> i mod List.length space) picks)
+        |> List.map (List.nth space)
+      in
+      List.for_all
+        (fun h -> Learner.covered t outcome h = covers_count t h)
+        ([ []; drawn ]
+        @ Option.to_list
+            (Option.map (fun (o : Learner.outcome) -> o.hypothesis) outcome)))
+
+(* A rule defining a new atom is not read from the witnesses: the
+   constraint below fires only through it, so a witness-only count
+   would miss every kill. *)
+let test_covered_non_constraint_fallback () =
+  let t =
+    Task.make ~gpm:(decision_gpm ()) ~space:(weather_space ())
+      ~examples:(base_examples ())
+  in
+  let outcome = Learner.learn_constraints t in
+  Alcotest.(check bool) "learned" true (outcome <> None);
+  let h =
+    Hypothesis_space.of_rules
+      [ ("bad :- weather(snow).", [ 0 ]); (":- result(accept)@1, bad.", [ 0 ]) ]
+  in
+  Alcotest.(check int) "all four covered" 4 (covers_count t h);
+  Alcotest.(check int) "fallback agrees" (covers_count t h)
+    (Learner.covered t outcome h);
+  (* the general path keeps no witnesses, so it falls back too *)
+  Alcotest.(check int) "general-path outcome" (covers_count t h)
+    (Learner.covered t (Learner.learn_general t) h);
+  Alcotest.(check int) "no outcome" (covers_count t h) (Learner.covered t None h)
+
+(* Under a cap of 1 each example keeps one of its two witnesses (mode
+   fast/slow); ":- mode(fast)." kills the kept one while the other
+   survives, so a truncated example must be decided by Task.covers. *)
+let test_covered_truncation_fallback () =
+  let examples =
+    [
+      Ilp.Example.positive_ctx ~weight:1 "accept" "weather(sun).";
+      Ilp.Example.negative_ctx ~weight:1 "accept" "weather(snow).";
+      Ilp.Example.positive_ctx ~weight:1 "reject" "weather(snow).";
+    ]
+  in
+  let space =
+    Ilp.Hypothesis_space.of_rules
+      [
+        (":- mode(fast).", [ 0 ]);
+        (":- mode(slow).", [ 0 ]);
+        (":- result(accept)@1, weather(snow).", [ 0 ]);
+      ]
+  in
+  let t = Task.make ~gpm:(choice_gpm ()) ~space ~examples in
+  let outcome = Learner.learn_constraints ~max_witnesses:1 t in
+  (match outcome with
+  | Some o ->
+    Alcotest.(check int) "every example truncated" 3 o.Learner.stats.Learner.truncated
+  | None -> Alcotest.fail "capped task should solve");
+  List.iter
+    (fun h ->
+      Alcotest.(check int) "covered = Task.covers" (covers_count t h)
+        (Learner.covered t outcome h))
+    [ []; [ List.nth space 0 ]; [ List.nth space 1 ]; [ List.nth space 2 ]; space ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_learner_sound; prop_optimality_cost_bound;
-      prop_generated_spaces_are_safe_and_unique; prop_candidate_costs_positive ]
+      prop_generated_spaces_are_safe_and_unique; prop_candidate_costs_positive;
+      prop_covered_matches_covers ]
 
 let () =
   (* the truncation tests deliberately trip the learner's witness-cap
@@ -577,6 +787,14 @@ let () =
           Alcotest.test_case "greedy tie-break" `Quick test_greedy_score_compare;
           Alcotest.test_case "accuracy" `Quick test_accuracy;
           Alcotest.test_case "minimality" `Quick test_minimality_prefers_one_general_rule;
+        ] );
+      ( "witnesses",
+        [
+          Alcotest.test_case "kill rows = oracle" `Quick test_kill_rows_match_oracle;
+          Alcotest.test_case "covered: non-constraint fallback" `Quick
+            test_covered_non_constraint_fallback;
+          Alcotest.test_case "covered: truncation fallback" `Quick
+            test_covered_truncation_fallback;
         ] );
       ( "preference",
         [
