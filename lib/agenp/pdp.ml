@@ -4,10 +4,12 @@
     (the last option) applies when the model admits nothing — and the
     event is flagged so the PAdaP can react to the coverage gap.
 
-    The decision core lives in the serving layer ({!Serve}); this module
-    is the AGenP-facing wrapper that adds the [agenp.pdp.decide] span and
-    fallback logging, and optionally routes through a serving target — a
-    private caching engine or one tenant's shard of a cluster. *)
+    The decision rule lives in the serving layer ({!Serve.decide_with});
+    this module is the AGenP-facing wrapper that adds the
+    [agenp.pdp.decide] span and fallback logging, and optionally routes
+    through a serving target — a private caching engine or one tenant's
+    shard of a cluster. Without a target, each option is checked through
+    the model's compiled view ({!Asg.Membership.accepts_in_context}). *)
 
 exception No_options = Serve.No_options
 
@@ -17,8 +19,8 @@ let h_fallbacks = Obs.Health.make "pdp.fallbacks"
 let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
     ~(context : Asp.Program.t) ~(options : string list) : Decision.t =
   (* one trace scope per PDP decision: the pdp span, the serve engine
-     (or uncached membership) beneath it, and any fallback log line all
-     correlate under the same request-scoped ID *)
+     (or the model's compiled membership) beneath it, and any fallback
+     log line all correlate under the same request-scoped ID *)
   Obs.Trace_context.scope @@ fun _trace_id ->
   Obs.span "agenp.pdp.decide"
     ~attrs:[ ("options", string_of_int (List.length options)) ]
@@ -38,7 +40,9 @@ let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
         (* backpressure never loses a decision: fall back to the
            cache-free reference path, which is outcome-identical *)
         Serve.decide_uncached gpm request)
-    | None -> Serve.decide_uncached gpm (Request.make ~context ~options ())
+    | None ->
+      Serve.decide_with options ~membership:(fun opt ->
+          Asg.Membership.accepts_in_context gpm ~context opt)
   in
   Obs.set_attr "fallback_used"
     (string_of_bool d.Serve.Decision.fallback_used);

@@ -8,9 +8,11 @@ exception No_options
 (** Decide; with [engine] the decision is served through a serving
     target (whose model is updated to [gpm] first): either a private
     {!Serve.t} engine or one tenant's shard of a {!Serve.Cluster}.
-    Without a target the cache-free reference path decides. All paths
+    Without a target the options are checked through the model's
+    compiled view ({!Asg.Membership.accepts_in_context}). All paths
     return identical decisions — a cluster rejection (backpressure)
-    falls back to the reference path rather than losing the decision.
+    falls back to the cache-free reference path
+    ({!Serve.decide_uncached}) rather than losing the decision.
     @raise No_options when [options] is empty. *)
 val decide :
   ?engine:Serve.target ->

@@ -4,6 +4,17 @@
     production's annotation) and [with_hypothesis] ([G : H]: add learned
     rules to specific productions). *)
 
+type tree = {
+  tree : Grammar.Parse_tree.t;
+  compiled : Asp.Solver.compiled option Atomic.t;
+}
+
+module Sentences = Map.Make (struct
+  type t = string list
+
+  let compare = List.compare String.compare
+end)
+
 type t = {
   cfg : Grammar.Cfg.t;
   annotations : (int * Annotation.program) list;
@@ -13,6 +24,10 @@ type t = {
   version : int;
       (** process-unique stamp; every construction/derivation gets a
           fresh one, so equal versions imply the same grammar value *)
+  sentences : tree list Sentences.t Atomic.t;
+      (** the compiled view: tokenized sentence -> its parse trees under
+          this value. An atomic immutable map, so readers on any domain
+          never lock; a new one at every construction and derivation. *)
 }
 
 (* Process-wide version source. Atomic so grammars can be derived from
@@ -20,8 +35,18 @@ type t = {
 let next_version = Atomic.make 0
 let fresh_version () = Atomic.fetch_and_add next_version 1
 
-let make ?(annotations = []) cfg =
-  { cfg; annotations; shared = []; version = fresh_version () }
+(* Every construction and derivation goes through here: a fresh version
+   and an empty compiled view, never the parent's. *)
+let build cfg ~annotations ~shared =
+  {
+    cfg;
+    annotations;
+    shared;
+    version = fresh_version ();
+    sentences = Atomic.make Sentences.empty;
+  }
+
+let make ?(annotations = []) cfg = build cfg ~annotations ~shared:[]
 
 let cfg g = g.cfg
 let shared g = g.shared
@@ -37,27 +62,41 @@ let full_annotation g prod_id = annotation g prod_id @ g.shared
 (** [G(C)]: the grammar constructed by adding program [C] to the annotation
     of every production rule. *)
 let with_context g (c : Asp.Program.t) =
-  {
-    g with
-    shared = g.shared @ Annotation.of_asp_program c;
-    version = fresh_version ();
-  }
+  build g.cfg ~annotations:g.annotations
+    ~shared:(g.shared @ Annotation.of_asp_program c)
 
 (** [G : H]: add each hypothesis rule to the annotation of the production
     it names. *)
 let with_hypothesis g (h : (int * Annotation.rule) list) =
-  {
-    g with
-    annotations = g.annotations @ List.map (fun (id, r) -> (id, [ r ])) h;
-    version = fresh_version ();
-  }
+  build g.cfg
+    ~annotations:(g.annotations @ List.map (fun (id, r) -> (id, [ r ])) h)
+    ~shared:g.shared
 
 let add_annotation g prod_id rules =
-  {
-    g with
-    annotations = g.annotations @ [ (prod_id, rules) ];
-    version = fresh_version ();
-  }
+  build g.cfg ~annotations:(g.annotations @ [ (prod_id, rules) ])
+    ~shared:g.shared
+
+let compiled_trees g tokens =
+  match Sentences.find_opt tokens (Atomic.get g.sentences) with
+  | Some trees -> trees
+  | None ->
+    let trees =
+      List.map
+        (fun tree -> { tree; compiled = Atomic.make None })
+        (Grammar.Earley.parses g.cfg tokens)
+    in
+    (* a racing domain may have published first: keep its trees, so
+       every caller compiles into the same cells *)
+    let rec publish () =
+      let m = Atomic.get g.sentences in
+      match Sentences.find_opt tokens m with
+      | Some trees -> trees
+      | None ->
+        if Atomic.compare_and_set g.sentences m (Sentences.add tokens trees m)
+        then trees
+        else publish ()
+    in
+    publish ()
 
 (** The underlying CFG with annotations removed (called [G_CF] in the
     paper) is just [cfg g]; the language of that CFG always contains the
@@ -89,4 +128,4 @@ let clean (g : t) : t =
         | rules -> Some (new_id, rules))
       mapping
   in
-  { cfg = cleaned; annotations; shared = g.shared; version = fresh_version () }
+  build cleaned ~annotations ~shared:g.shared

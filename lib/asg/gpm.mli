@@ -37,3 +37,26 @@ val to_string : t -> string
 (** Remove useless productions (via {!Grammar.Transform}), re-homing
     annotations; shared rules are preserved. *)
 val clean : t -> t
+
+(** {2 The compiled view}
+
+    Each model value keeps one memo for membership: a tokenized sentence
+    maps to its parse trees under the value, each tree with the value's
+    induced program [G[PT]] compiled ({!Asp.Solver.compile}) on first
+    use. The memo starts empty at every construction and derivation, so
+    a derived model never answers from its parent's; it holds one entry
+    per distinct sentence asked of the value and is safe to read and
+    fill from several domains. {!Membership} compiles the trees. *)
+
+(** One parse tree of a memoised sentence; [compiled] is [None] until
+    the tree is first decided. *)
+type tree = {
+  tree : Grammar.Parse_tree.t;
+  compiled : Asp.Solver.compiled option Atomic.t;
+}
+
+(** [compiled_trees g tokens] is the memoised parse trees of [tokens]
+    under [g] in Earley order; the first ask of this value parses. When
+    two domains race on a first ask, both parse and one result is kept
+    for both. *)
+val compiled_trees : t -> string list -> tree list

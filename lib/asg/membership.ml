@@ -1,7 +1,8 @@
 (** Language membership for answer set grammars: [s] is in [L(G(C))] iff
     at least one parse tree of the underlying CFG for [s] induces a
-    program with an answer set. {!programs} is the single path from a
-    sentence to those programs; everything else here is built on it. *)
+    program with an answer set. {!programs} builds those programs from
+    scratch; membership under a ground-fact context reads the model's
+    compiled view ({!Gpm.compiled_trees}) instead. *)
 
 let c_hypothesis_evals = Obs.Counter.make "asg.hypothesis_evals"
 
@@ -44,16 +45,43 @@ let satisfiable (program : Asp.Program.t Lazy.t) =
 let tree_accepted (g : Gpm.t) tree =
   satisfiable (lazy (Tree_program.program g tree))
 
-let accepts_tokens ?context (g : Gpm.t) (tokens : string list) : bool =
+let accepts_uncompiled ?context (g : Gpm.t) (tokens : string list) : bool =
   Obs.span "asg.membership" @@ fun () ->
   Seq.exists (fun tp -> satisfiable tp.program) (tree_programs ?context g tokens)
 
+let compiled (g : Gpm.t) (t : Gpm.tree) : Asp.Solver.compiled =
+  match Atomic.get t.compiled with
+  | Some c -> c
+  | None ->
+    (* a racing domain compiles the same pure value; either may stay *)
+    let c = Asp.Solver.compile (Tree_program.program g t.tree) in
+    Atomic.set t.compiled (Some c);
+    c
+
+(* membership of [tokens] in [L(G(C))] for a context [C] of ground facts:
+   each memoised tree's frozen core extended with [C]'s facts at the
+   tree's node traces *)
+let accepts_facts (g : Gpm.t) ~(facts : Asp.Atom.t list) (tokens : string list)
+    : bool =
+  Obs.span "asg.membership" @@ fun () ->
+  List.exists
+    (fun (t : Gpm.tree) ->
+      Obs.Counter.incr c_hypothesis_evals;
+      Obs.fine_span "asg.tree_eval" @@ fun () ->
+      fst
+        (Asp.Solver.has_answer_set_extended (compiled g t)
+           ~facts:(Tree_program.context_facts t.tree facts)))
+    (Gpm.compiled_trees g tokens)
+
 let accepts (g : Gpm.t) (sentence : string) : bool =
-  accepts_tokens g (tokenize sentence)
+  accepts_facts g ~facts:[] (tokenize sentence)
 
 let accepts_in_context (g : Gpm.t) ~(context : Asp.Program.t)
     (sentence : string) : bool =
-  accepts_tokens ~context g (tokenize sentence)
+  let tokens = tokenize sentence in
+  match Asp.Program.ground_facts context with
+  | Some facts -> accepts_facts g ~facts tokens
+  | None -> accepts_uncompiled ~context g tokens
 
 let witness ?context (g : Gpm.t) (sentence : string) :
     Asp.Solver.model option =

@@ -1,10 +1,13 @@
 (** Language membership: [s ∈ L(G(C))] iff some parse tree of the
     underlying CFG induces a program with an answer set.
 
-    This is the one evaluator of a sentence under [G(C)]: every consumer
-    (the decision predicates below, the learner's witnesses, preference
-    pricing, explanations, repair, the serving layer) reaches the
-    programs [G(C)[PT]] through {!programs}. *)
+    A sentence is evaluated under [G(C)] in one of two ways. {!programs}
+    builds [G(C)[PT]] from scratch; the learner's witnesses, preference
+    pricing, explanations, repair and the serving layer reach the
+    programs through it. The membership predicates {!accepts} and
+    {!accepts_in_context} decide a ground-fact context through the
+    model's compiled view instead: frozen [G[PT]] cores kept on the
+    model, extended with the context's facts. *)
 
 val tokenize : string -> string list
 
@@ -32,13 +35,30 @@ val traces_by_production :
 (** Does [tree]'s induced program (under [G]) have an answer set? *)
 val tree_accepted : Gpm.t -> Grammar.Parse_tree.t -> bool
 
-(** Membership of an already tokenized sentence in [L(G(C))]; tries
-    parse trees lazily and stops at the first satisfiable one. *)
-val accepts_tokens : ?context:Asp.Program.t -> Gpm.t -> string list -> bool
+(** [s ∈ L(G(C))] from scratch: parse [tokens], induce each tree's
+    program under [G(C)] ([G] without [context]), ground and solve it,
+    stopping at the first satisfiable tree. Nothing is memoised. The
+    reference and one-shot check, with two callers: {!Serve.decide_uncached}
+    (the cache-free reference the serving layer is tested against) and
+    policy repair, which asks each of many distinct edited sentences
+    once, where compiling would cost more than it saves and fill the
+    model's memo. *)
+val accepts_uncompiled :
+  ?context:Asp.Program.t -> Gpm.t -> string list -> bool
 
+(** [s ∈ L(G)], through the model's compiled view ({!Gpm.compiled_trees}):
+    the first ask of a sentence parses it and the first decision of each
+    tree compiles [G[PT]]; later asks only decide the prepared state. *)
 val accepts : Gpm.t -> string -> bool
 
-(** [s ∈ L(G(C))]. *)
+(** [s ∈ L(G(C))]. When [context] is ground facts only
+    ({!Asp.Program.ground_facts}, the empty context included), through
+    the model's compiled view: only the facts, instantiated at each
+    tree's node traces ({!Tree_program.context_facts}), are grounded
+    against the tree's frozen core ({!Asp.Solver.has_answer_set_extended}),
+    stopping at the first accepting tree. A context with proper rules
+    changes [G(C)[PT]] beyond facts and takes {!accepts_uncompiled}.
+    Answers equal {!accepts_uncompiled} on every context. *)
 val accepts_in_context : Gpm.t -> context:Asp.Program.t -> string -> bool
 
 (** A witnessing answer set for an accepted sentence: the first answer

@@ -19,6 +19,16 @@ let facts p =
       | _ -> None)
     p.rules
 
+let ground_facts p =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | (r : Rule.t) :: rest -> (
+      match (r.head, r.body) with
+      | Rule.Head a, [] when Atom.is_ground a -> go (a :: acc) rest
+      | _ -> None)
+  in
+  go [] p.rules
+
 let constraints p = List.filter Rule.is_constraint p.rules
 
 (** All predicate name/arity pairs appearing anywhere in the program. *)

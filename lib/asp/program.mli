@@ -20,6 +20,14 @@ val is_empty : t -> bool
 (** Ground atoms asserted as facts (head with empty body). *)
 val facts : t -> Atom.t list
 
+(** [Some atoms] when every rule of the program is a ground fact (the
+    atoms in source order, duplicates kept; the empty program gives
+    [Some []]), [None] as soon as one rule has a body, a non-atom head or
+    a variable. This is the "ground facts only" view of a context under
+    which a frozen context-free core can be extended by delta grounding
+    instead of regrounding. *)
+val ground_facts : t -> Atom.t list option
+
 (** The constraint rules (empty heads), in source order. *)
 val constraints : t -> Rule.t list
 

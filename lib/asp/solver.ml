@@ -387,10 +387,18 @@ let wellfounded_seed st =
       Array.blit upper' 0 upper 0 n
     end
   done;
+  let assigned = ref 0 in
   for i = 0 to n - 1 do
-    if lower.(i) then st.assignment.(i) <- True
-    else if not upper.(i) then st.assignment.(i) <- False
-  done
+    if lower.(i) then begin
+      st.assignment.(i) <- True;
+      incr assigned
+    end
+    else if not upper.(i) then begin
+      st.assignment.(i) <- False;
+      incr assigned
+    end
+  done;
+  Obs.Counter.incr c_propagations ~by:!assigned
 
 (* -- Stability check --------------------------------------------------- *)
 
@@ -786,6 +794,28 @@ let has_answer_set_prepared ?wellfounded (pr : prepared)
     match solve_state ~limit:1 ?wellfounded (extend pr delta) with
     | [] -> false
     | _ -> true)
+
+type compiled = { core : Grounder.Incremental.core; prepared : prepared }
+
+let compile (p : Program.t) : compiled =
+  let core = Grounder.Incremental.freeze p in
+  { core; prepared = prepare (Grounder.Incremental.core_ground core) }
+
+let has_answer_set_extended (c : compiled) ~(facts : Atom.t list) : bool * int
+    =
+  match facts with
+  | [] -> (has_answer_set_prepared c.prepared ~delta:[], 0)
+  | _ -> (
+    match Grounder.Incremental.delta_with c.core ~facts with
+    | Some delta ->
+      (has_answer_set_prepared c.prepared ~delta, List.length delta)
+    | None ->
+      (* the facts touch a latent negative literal or a dormant choice of
+         the core: decide the repaired full ground program *)
+      let gp = Grounder.Incremental.ground_with c.core ~facts in
+      ( has_answer_set_ground gp,
+        Grounder.size gp - Grounder.size (Grounder.Incremental.core_ground c.core)
+      ))
 
 (** Atoms true in at least one answer set (brave consequences), restricted
     to a predicate when [pred] is given. *)

@@ -71,6 +71,30 @@ val prepare : Grounder.ground_program -> prepared
 val has_answer_set_prepared :
   ?wellfounded:bool -> prepared -> delta:Grounder.ground_rule list -> bool
 
+(** A program compiled for repeated satisfiability checks under varying
+    ground facts: its frozen incremental-grounding core and the prepared
+    solver state of the core's ground program. Immutable; safe to share
+    across domains. *)
+type compiled = { core : Grounder.Incremental.core; prepared : prepared }
+
+(** Ground and freeze [p] ({!Grounder.Incremental.freeze}) and prepare
+    its ground program.
+    @raise Grounder.Unsafe_rule / @raise Grounder.Aggregate_in_rule as
+    {!Grounder.ground}. *)
+val compile : Program.t -> compiled
+
+(** [has_answer_set_extended c ~facts] decides whether the compiled
+    program extended with the ground [facts] has an answer set, and
+    counts the ground rules the facts added. Only the facts are
+    grounded ({!Grounder.Incremental.delta_with}) and the prepared state
+    is extended with them; when the facts need a repair of the frozen
+    core, the repaired program ({!Grounder.Incremental.ground_with}) is
+    decided whole. [facts:[]] decides the prepared program, grounding
+    nothing. Coincides with {!has_answer_set} on the program extended
+    with the facts.
+    @raise Invalid_argument on a non-ground fact. *)
+val has_answer_set_extended : compiled -> facts:Atom.t list -> bool * int
+
 (** Atoms true in at least one answer set, optionally restricted to a
     predicate. *)
 val brave_consequences : ?pred:string -> Program.t -> Atom.Set.t

@@ -163,10 +163,7 @@ let counters =
 
 (* ---- the decision core ------------------------------------------------ *)
 
-(** First valid option, or the last option as a flagged fail-safe —
-    exactly the PDP semantics, shared by cached and uncached paths.
-    [membership] decides one option. *)
-let decide_core ~(membership : string -> bool) (options : string list) :
+let decide_with ~(membership : string -> bool) (options : string list) :
     Decision.t =
   if options = [] then raise No_options;
   let valid_options = List.filter membership options in
@@ -183,9 +180,10 @@ let decide_core ~(membership : string -> bool) (options : string list) :
     }
 
 let decide_uncached (gpm : Asg.Gpm.t) (req : Request.t) : Decision.t =
-  decide_core req.options
+  decide_with req.options
     ~membership:(fun opt ->
-      Asg.Membership.accepts_in_context gpm ~context:req.context opt)
+      Asg.Membership.accepts_uncompiled ~context:req.context gpm
+        (Asg.Membership.tokenize opt))
 
 (* ---- the engine ------------------------------------------------------- *)
 
@@ -198,22 +196,13 @@ type memo_key = int * int * string list
    any-tree-hit flag. *)
 type req_counts = { mutable rq_hits : int; mutable rq_misses : int }
 
-(* A ground-cache entry: the frozen incremental core plus its precompiled
-   solver state, so the hot path pays neither regrounding nor solver-core
-   recompilation. Both halves are immutable and keyed by the same core
-   program. *)
-type centry = {
-  ce_core : Asp.Grounder.Incremental.core;
-  ce_prepared : Asp.Solver.prepared;
-}
-
 type t = {
   name : string;  (** shard provenance on responses *)
   mutable gpm : Asg.Gpm.t;
   cfg : Config.t;
   memo : (memo_key, Asp.Program.t * Decision.t) Lru.t;
       (** the stored context confirms fingerprint hits *)
-  grounds : (int, centry) Lru.t;
+  grounds : (int, Asp.Solver.compiled) Lru.t;
       (** {e core}-program fingerprint -> frozen incremental core with
           its prepared solver state; the stored core's program confirms
           fingerprint hits *)
@@ -405,13 +394,13 @@ let openmetrics t =
     own [collisions] count (it is not a capacity eviction: the cache
     never ran out of room). *)
 let core_cached t (p : Asp.Program.t) ~(fp : int) ~(counts : req_counts) :
-    centry =
+    Asp.Solver.compiled =
   let c = Lazy.force counters in
   let resident = locked t (fun () -> Lru.find t.grounds fp) in
   match resident with
   | Some e
     when Asp.Program.equal
-           (Asp.Grounder.Incremental.core_program e.ce_core)
+           (Asp.Grounder.Incremental.core_program e.Asp.Solver.core)
            p ->
     locked t (fun () -> t.g_hits <- t.g_hits + 1);
     Obs.Counter.incr c.cg_hits;
@@ -419,14 +408,7 @@ let core_cached t (p : Asp.Program.t) ~(fp : int) ~(counts : req_counts) :
     e
   | _ ->
     let collision = Option.is_some resident in
-    let core = Asp.Grounder.Incremental.freeze p in
-    let e =
-      {
-        ce_core = core;
-        ce_prepared =
-          Asp.Solver.prepare (Asp.Grounder.Incremental.core_ground core);
-      }
-    in
+    let e = Asp.Solver.compile p in
     locked t (fun () ->
         t.g_misses <- t.g_misses + 1;
         if collision then t.g_collisions <- t.g_collisions + 1;
@@ -437,20 +419,6 @@ let core_cached t (p : Asp.Program.t) ~(fp : int) ~(counts : req_counts) :
     Obs.Counter.incr c.cg_misses;
     counts.rq_misses <- counts.rq_misses + 1;
     e
-
-(** A context consisting solely of ground facts — the common case, and
-    the one that delta-grounds instead of regrounding: the induced core
-    program is context-free, so the cache can finally hit across
-    requests with distinct contexts. *)
-let fact_only_context (p : Asp.Program.t) : Asp.Atom.t list option =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | (r : Asp.Rule.t) :: rest -> (
-      match (r.head, r.body) with
-      | Asp.Rule.Head a, [] when Asp.Atom.is_ground a -> go (a :: acc) rest
-      | _ -> None)
-  in
-  go [] (Asp.Program.rules p)
 
 (** Parse trees of [opt] under the served grammar with their
     context-free induced programs, cached per (version, option): the
@@ -489,29 +457,18 @@ let accepts_incremental t (gpm : Asg.Gpm.t) (opt : string)
     (fun (tree, core_p, core_fp) ->
       let e = core_cached t core_p ~fp:core_fp ~counts in
       match ctx_facts with
-      | [] -> Asp.Solver.has_answer_set_prepared e.ce_prepared ~delta:[]
-      | _ -> (
+      | [] -> fst (Asp.Solver.has_answer_set_extended e ~facts:[])
+      | _ ->
         let facts = Asg.Tree_program.context_facts tree ctx_facts in
-        let note added =
-          locked t (fun () ->
-              t.n_delta_grounds <- t.n_delta_grounds + 1;
-              t.n_delta_facts <- t.n_delta_facts + List.length facts;
-              t.n_delta_rules <- t.n_delta_rules + added);
-          Obs.Counter.incr c.cs_delta_grounds;
-          Obs.Counter.incr c.cs_delta_facts ~by:(List.length facts);
-          Obs.Counter.incr c.cs_delta_rules ~by:added
-        in
-        match Asp.Grounder.Incremental.delta_with e.ce_core ~facts with
-        | Some d ->
-          note (List.length d);
-          Asp.Solver.has_answer_set_prepared e.ce_prepared ~delta:d
-        | None ->
-          (* core repair needed: rebuild the combined program *)
-          let gp = Asp.Grounder.Incremental.ground_with e.ce_core ~facts in
-          note
-            (Asp.Grounder.size gp
-            - Asp.Grounder.size (Asp.Grounder.Incremental.core_ground e.ce_core));
-          Asp.Solver.has_answer_set_ground gp))
+        let sat, added = Asp.Solver.has_answer_set_extended e ~facts in
+        locked t (fun () ->
+            t.n_delta_grounds <- t.n_delta_grounds + 1;
+            t.n_delta_facts <- t.n_delta_facts + List.length facts;
+            t.n_delta_rules <- t.n_delta_rules + added);
+        Obs.Counter.incr c.cs_delta_grounds;
+        Obs.Counter.incr c.cs_delta_facts ~by:(List.length facts);
+        Obs.Counter.incr c.cs_delta_rules ~by:added;
+        sat)
     (trees_for t gpm opt)
 
 (** The fallback for contexts carrying proper rules: each tree's full
@@ -524,7 +481,7 @@ let accepts_fallback t (gpm : Asg.Gpm.t) (opt : string)
     (fun (tp : Asg.Membership.tree_program) ->
       let p = Lazy.force tp.program in
       let e = core_cached t p ~fp:(Asp.Program.fingerprint p) ~counts in
-      Asp.Solver.has_answer_set_prepared e.ce_prepared ~delta:[])
+      fst (Asp.Solver.has_answer_set_extended e ~facts:[]))
     (Asg.Membership.programs ~context gpm opt)
 
 let decide t (req : Request.t) : Response.t =
@@ -562,16 +519,16 @@ let decide t (req : Request.t) : Response.t =
       Obs.Counter.incr c.cd_misses;
       if collision then Obs.Counter.incr c.cd_collisions;
       let d =
-        match fact_only_context req.context with
+        match Asp.Program.ground_facts req.context with
         | Some ctx_facts ->
-          decide_core req.options
+          decide_with req.options
             ~membership:(fun opt ->
               accepts_incremental t gpm opt ~counts ~ctx_facts)
         | None ->
           (* rule-bearing context: no context-free core to reuse *)
           locked t (fun () -> t.n_fallbacks <- t.n_fallbacks + 1);
           Obs.Counter.incr c.cs_delta_fallbacks;
-          decide_core req.options
+          decide_with req.options
             ~membership:(fun opt ->
               accepts_fallback t gpm opt ~context:req.context ~counts)
       in

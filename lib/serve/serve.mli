@@ -247,8 +247,17 @@ val invalidate : t -> unit
     the decision). @raise No_options on an empty options list. *)
 val decide : t -> Request.t -> Response.t
 
-(** The cache-free reference path: evaluates membership directly through
-    {!Asg.Membership}. The differential oracle for the cached engine.
+(** The decision rule every path shares: the first of [options] that
+    [membership] admits, else the last option flagged as a fallback.
+    [membership] decides one option; the engine, {!decide_uncached} and
+    the engine-free PDP each pass their own.
+    @raise No_options on an empty options list. *)
+val decide_with : membership:(string -> bool) -> string list -> Decision.t
+
+(** The cache-free reference path: each option is checked from scratch
+    ({!Asg.Membership.accepts_uncompiled}), with no memo on the model or
+    the engine. The differential oracle for the cached engine and the
+    [uncached] row of the serve benchmark.
     @raise No_options on an empty options list. *)
 val decide_uncached : Asg.Gpm.t -> Request.t -> Decision.t
 

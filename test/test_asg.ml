@@ -228,6 +228,42 @@ let test_shared_annotation_exposed () =
   Alcotest.(check int) "shared rules recorded" 1
     (List.length (Asg.Gpm.shared g))
 
+(* The compiled view belongs to one model value. The parent is asked
+   first, so its memo holds "accept" compiled; every derivation starts
+   with an empty memo (its first ask grounds its own core) and answers
+   for itself: three of them forbid accept, and clean renumbers
+   productions. *)
+let test_compiled_view_per_value () =
+  let parent =
+    Asg.Asg_parser.parse
+      {| start -> decision { :- result(accept)@1, risky. }
+         orphan -> "x" { never. }
+         decision -> "accept" { result(accept). } | "reject" { result(reject). } |}
+  in
+  let accept g = Asg.Membership.accepts g "accept" in
+  let ground_calls () =
+    Obs.Counter.value (Obs.Counter.make "asp.ground.calls")
+  in
+  Alcotest.(check bool) "parent accepts" true (accept parent);
+  let before = ground_calls () in
+  Alcotest.(check bool) "parent, from its memo" true (accept parent);
+  Alcotest.(check int) "a memo hit grounds nothing" before (ground_calls ());
+  let forbid = Asg.Annotation.parse_rule_string ":- result(accept)@1." in
+  List.iter
+    (fun (name, child, expected) ->
+      let before = ground_calls () in
+      Alcotest.(check bool) (name ^ ": answers for itself") expected
+        (accept child);
+      Alcotest.(check bool) (name ^ ": grounds its own core") true
+        (ground_calls () > before))
+    [
+      ("with_hypothesis", Asg.Gpm.with_hypothesis parent [ (0, forbid) ], false);
+      ("with_context", Asg.Gpm.with_context parent (parse_ctx "risky."), false);
+      ("add_annotation", Asg.Gpm.add_annotation parent 0 [ forbid ], false);
+      ("clean", Asg.Gpm.clean parent, true);
+    ];
+  Alcotest.(check bool) "the parent still accepts" true (accept parent)
+
 (* property: membership of an ASG is always a subset of its CFG language *)
 let prop_language_subset_cfg =
   QCheck2.Test.make ~name:"L(G) subset of L(G_CF)" ~count:20
@@ -282,6 +318,8 @@ let () =
           Alcotest.test_case "ambiguous membership" `Quick test_ambiguous_membership;
           Alcotest.test_case "context at depth" `Quick test_context_copies_at_depth;
           Alcotest.test_case "shared annotation" `Quick test_shared_annotation_exposed;
+          Alcotest.test_case "compiled view per value" `Quick
+            test_compiled_view_per_value;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -244,6 +244,25 @@ let test_double_negation_choice_equiv () =
   let via_choice = sorted_models "{ a }." in
   Alcotest.(check (list (list string))) "two models" [ []; [ "a" ] ] via_choice
 
+(* well-founded seeding assigns atoms outside unit propagation, and
+   [asp.solve.propagations] counts them: here seeding decides every atom
+   of the base (p, q true; r, s false), so the search makes no decision
+   and the counter moves by exactly the four seeded atoms *)
+let test_wellfounded_seed_propagations () =
+  let gp = Asp.Grounder.ground (parse "p. q :- p. r :- not q. s :- r.") in
+  let counter n = Obs.Counter.value (Obs.Counter.make n) in
+  let props = counter "asp.solve.propagations"
+  and decisions = counter "asp.solve.decisions" in
+  Alcotest.(check (list (list string))) "the well-founded model"
+    [ [ "p"; "q" ] ]
+    (List.map model_strings (Asp.Solver.solve_ground gp));
+  Alcotest.(check int) "no search decision" decisions
+    (counter "asp.solve.decisions");
+  Alcotest.(check int) "one propagation per seeded atom"
+    (props + Asp.Grounder.atom_count gp)
+    (counter "asp.solve.propagations");
+  Alcotest.(check int) "four atoms in the base" 4 (Asp.Grounder.atom_count gp)
+
 let test_wellfounded_bounds () =
   let gp = Asp.Grounder.ground (parse "p. q :- not r. r :- not q.") in
   let b = Asp.Wellfounded.compute gp in
@@ -1174,6 +1193,8 @@ let () =
           Alcotest.test_case "stability subtle" `Quick test_solver_stability_subtle;
           Alcotest.test_case "choice vs double negation" `Quick test_double_negation_choice_equiv;
           Alcotest.test_case "wellfounded bounds" `Quick test_wellfounded_bounds;
+          Alcotest.test_case "wellfounded seed propagations" `Quick
+            test_wellfounded_seed_propagations;
           Alcotest.test_case "graph coloring" `Quick test_graph_coloring;
           Alcotest.test_case "context facts" `Quick test_context_facts;
         ] );

@@ -374,8 +374,212 @@ let prop_cav_examples_consistent =
       (* 2 examples per scenario: the accept label and the reject fallback *)
       List.length examples = 20)
 
+(* ---- the compiled membership path ---- *)
+
+(* A workload model with its hypothesis space, some of its sentences, its
+   own request contexts, and a fact template over one of its integer
+   arguments (the target of interval and arithmetic terms). *)
+type compiled_case = {
+  name : string;
+  base : Asg.Gpm.t;
+  space : Ilp.Hypothesis_space.candidate array;
+  sentences : string list;
+  contexts : Asp.Program.t array;
+  int_fact : string -> string;
+}
+
+let compiled_cases =
+  let case name base modes sentences contexts int_fact =
+    lazy
+      {
+        name;
+        base;
+        space = Array.of_list (Ilp.Hypothesis_space.generate modes);
+        sentences;
+        contexts = Array.of_list contexts;
+        int_fact;
+      }
+  in
+  let xacml_contexts =
+    List.map Policy.Request.to_context (Workloads.Xacml_logs.request_space ())
+  in
+  [|
+    case "xacml flat" (Workloads.Xacml_logs.gpm ()) (Workloads.Xacml_logs.modes ())
+      [ "permit"; "deny" ] xacml_contexts
+      (Printf.sprintf "seniority(intern, %s).");
+    case "xacml hierarchy"
+      (Workloads.Xacml_logs.gpm_with_hierarchy ())
+      (Workloads.Xacml_logs.hierarchy_modes ())
+      [ "permit"; "deny" ] xacml_contexts
+      (Printf.sprintf "seniority(intern, %s).");
+    case "cav" (Workloads.Cav.gpm ()) (Workloads.Cav.modes ())
+      [ "accept"; "reject" ]
+      (List.map Workloads.Cav.to_context (Workloads.Cav.sample ~seed:11 40))
+      (Printf.sprintf "vehicle_loa(%s).");
+    case "resupply" (Workloads.Resupply.gpm ()) (Workloads.Resupply.modes ())
+      Workloads.Resupply.routes
+      (List.map Workloads.Resupply.to_context
+         (Workloads.Resupply.campaign ~seed:12 ~n:40 ()))
+      (Printf.sprintf "threat(north, %s).");
+    case "convoy" (Workloads.Convoy.gpm ()) (Workloads.Convoy.modes ())
+      [ ""; "truck"; "truck escort"; "escort truck drone"; "truck truck escort drone" ]
+      (List.init 5 (fun threat -> Workloads.Convoy.context ~threat))
+      (Printf.sprintf "threat(%s).");
+  |]
+
+(* Root-level rules with a latent negative literal: [not latent_veto] is
+   trivially true in every frozen core, so a context asserting
+   [latent_veto] makes the delta ground fail and the repaired program
+   decide; [latent_pardon] turns the repaired answer back to accept. *)
+let latent_rules =
+  Asg.Annotation.parse
+    "latent_ok :- not latent_veto. latent_ok :- latent_pardon. :- not latent_ok."
+
+type context_kind =
+  | Empty
+  | Facts of { dup : bool; num : string option }
+      (** a workload context, with a duplicated fact and an interval or
+          arithmetic fact *)
+  | Latent of { pardon : bool }  (** plus [latent_veto.] *)
+  | Derived_veto  (** [latent_veto] derived by a context rule *)
+  | Derived_fact  (** the context's first fact derived by a rule *)
+
+let gen_context_kind =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return Empty);
+        ( 4,
+          map2
+            (fun dup num -> Facts { dup; num })
+            bool
+            (opt (oneofl [ "1..3"; "2..2"; "3..1"; "1+2"; "2*2"; "5-4"; "4/2"; "1/0" ])) );
+        (2, map (fun pardon -> Latent { pardon }) bool);
+        (1, return Derived_veto);
+        (1, return Derived_fact);
+      ])
+
+let context_of (c : compiled_case) (i, kind) =
+  let base = Asp.Program.rules c.contexts.(i mod Array.length c.contexts) in
+  let parse = Asp.Parser.parse_program in
+  let rules =
+    match kind with
+    | Empty -> []
+    | Facts { dup; num } ->
+      base
+      @ (if dup then [ List.hd base ] else [])
+      @ (match num with
+        | Some t -> Asp.Program.rules (parse (c.int_fact t))
+        | None -> [])
+    | Latent { pardon } ->
+      base
+      @ Asp.Program.rules
+          (parse (if pardon then "latent_veto. latent_pardon." else "latent_veto."))
+    | Derived_veto ->
+      base
+      @ Asp.Program.rules (parse "latent_veto :- latent_trigger. latent_trigger.")
+    | Derived_fact ->
+      let trigger = Asp.Parser.parse_atom_string "latent_trigger" in
+      { (List.hd base) with Asp.Rule.body = [ Asp.Rule.Pos trigger ] }
+      :: Asp.Rule.fact trigger :: List.tl base
+  in
+  Asp.Program.of_rules rules
+
+(* A model drawn from a case: its base GPM extended with up to three
+   candidates of its space, and with the latent rules at the root. *)
+let compiled_model (c : compiled_case) (picks, latent) =
+  let g =
+    Ilp.Task.apply_hypothesis c.base
+      (List.map (fun k -> c.space.(k mod Array.length c.space)) picks)
+  in
+  if not latent then g
+  else
+    let cfg = Asg.Gpm.cfg g in
+    List.fold_left
+      (fun g (p : Grammar.Production.t) ->
+        Asg.Gpm.add_annotation g p.Grammar.Production.id latent_rules)
+      g
+      (Grammar.Cfg.productions_of cfg (Grammar.Cfg.start cfg))
+
+let gen_compiled_input =
+  QCheck2.Gen.(
+    triple
+      (int_bound (Array.length compiled_cases - 1))
+      (pair (list_size (int_bound 3) nat) bool)
+      (list_size (int_range 1 4) (pair nat gen_context_kind)))
+
+let print_compiled_input (ci, (picks, latent), kinds) =
+  Printf.sprintf "%s, candidates [%s], latent %b, contexts:\n%s"
+    (Lazy.force compiled_cases.(ci)).name
+    (String.concat "; " (List.map string_of_int picks))
+    latent
+    (String.concat "\n---\n"
+       (List.map
+          (fun k ->
+            Asp.Program.to_string (context_of (Lazy.force compiled_cases.(ci)) k))
+          kinds))
+
+(* every (context, sentence) question of one input, in order *)
+let compiled_questions (ci, model, kinds) =
+  let c = Lazy.force compiled_cases.(ci) in
+  ( c,
+    model,
+    List.concat_map
+      (fun k ->
+        let context = context_of c k in
+        List.map (fun s -> (context, s)) c.sentences)
+      kinds )
+
+(* The compiled view answers exactly as the from-scratch check, on the
+   first ask of each sentence and again from the memo, for one model
+   value asked under every context in turn. *)
+let prop_compiled_membership =
+  QCheck2.Test.make ~name:"compiled membership = from-scratch membership"
+    ~count:60 ~print:print_compiled_input gen_compiled_input (fun input ->
+      let c, model, questions = compiled_questions input in
+      let g = compiled_model c model in
+      let scratch =
+        List.map
+          (fun (context, s) ->
+            Asg.Membership.accepts_uncompiled ~context g
+              (Asg.Membership.tokenize s))
+          questions
+      in
+      let compiled () =
+        List.map
+          (fun (context, s) -> Asg.Membership.accepts_in_context g ~context s)
+          questions
+      in
+      let first = compiled () in
+      let hit = compiled () in
+      first = scratch && hit = scratch)
+
+(* The same questions, twice over, from a 2-domain pool sharing one fresh
+   model value (the domains race on its first asks) answer as a
+   sequential run on another fresh value of the same model. *)
+let prop_compiled_membership_par =
+  QCheck2.Test.make ~name:"compiled membership from 2 domains = sequential"
+    ~count:15 ~print:print_compiled_input gen_compiled_input (fun input ->
+      let c, model, questions = compiled_questions input in
+      let questions = Array.of_list (questions @ questions) in
+      let ask g (context, s) = Asg.Membership.accepts_in_context g ~context s in
+      let sequential = Array.map (ask (compiled_model c model)) questions in
+      let pool = Par.create ~domains:2 () in
+      let parallel =
+        Fun.protect
+          ~finally:(fun () -> Par.shutdown pool)
+          (fun () ->
+            Par.parallel_map pool (ask (compiled_model c model)) questions)
+      in
+      parallel = sequential)
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_cav_examples_consistent ]
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_cav_examples_consistent;
+      prop_compiled_membership;
+      prop_compiled_membership_par;
+    ]
 
 let () =
   Alcotest.run "workloads"
