@@ -332,25 +332,22 @@ let run args =
                   tier)
             [ ("decision", decision_rate); ("ground", ground_rate) ];
           (* the delta section's ns_per_ground gates like the asp
-             benches: re-measure and hold it to the same tolerance *)
-          let ground_ns_ok =
-            match committed_ns_per_ground with
-            | None ->
-              Fmt.pr "serve: committed snapshot predates the delta \
-                      section (ns_per_ground not gated)@.";
-              true
-            | Some base ->
-              let cur = Experiments.serve_ground_ns () in
-              let ratio = if base > 0.0 then cur /. base else infinity in
-              let regressed = cur > base *. (1.0 +. o.tolerance) in
-              Fmt.pr "serve: ns_per_ground %12.0f ns -> %10.0f ns (%.2fx)  \
-                      %s@."
-                base cur ratio
-                (if regressed then "REGRESSION" else "ok");
-              not regressed
-          in
+             benches: re-measure, hold it to the same tolerance and count
+             a slowdown with their regressions, not as unsoundness *)
+          (match committed_ns_per_ground with
+          | None ->
+            Fmt.pr "serve: committed snapshot predates the delta section \
+                    (ns_per_ground not gated)@."
+          | Some base ->
+            let cur = Experiments.serve_ground_ns () in
+            let ratio = if base > 0.0 then cur /. base else infinity in
+            let regressed = cur > base *. (1.0 +. o.tolerance) in
+            if regressed then incr regressions;
+            Fmt.pr "serve: ns_per_ground %12.0f ns -> %10.0f ns (%.2fx)  %s@."
+              base cur ratio
+              (if regressed then "REGRESSION" else "ok"));
           committed_ground_ok && identical && decision_rate > 0.0
-          && ground_rate > 0.0 && ground_ns_ok
+          && ground_rate > 0.0
         end
     in
     let serve2_ok =

@@ -40,6 +40,11 @@ type t = {
           (and its {!Asg.Gpm.version}) is stable between adaptations —
           recomputing per request would stamp a fresh version each time
           and defeat the serving layer's decision memo *)
+  mutable carried : (Ilp.Task.t * Ilp.Learner.outcome) option;
+      (** the last relearn that found a hypothesis: its task and outcome,
+          whose evidence the next relearn reuses for the examples still
+          retained. It depends only on [gpm0], the space and those
+          examples, so it outlives a failed relearn and an [install]. *)
 }
 
 let create config gpm0 =
@@ -52,6 +57,7 @@ let create config gpm0 =
     relearn_count = 0;
     context_changed = false;
     current = Ilp.Task.apply_hypothesis gpm0 [];
+    carried = None;
   }
 
 (** The current learned GPM. *)
@@ -97,7 +103,8 @@ let relearn ?(reason = "manual") (t : t) : [ `Updated | `Unchanged | `Failed ]
   let old_size = List.length t.hypothesis in
   let old_version = Asg.Gpm.version t.current in
   let task = Ilp.Task.make ~gpm:t.gpm0 ~space:t.config.space ~examples in
-  let outcome = Ilp.Learner.learn ?pool:t.config.pool task in
+  let outcome = Ilp.Learner.learn ?pool:t.config.pool ?carried:t.carried task in
+  Option.iter (fun o -> t.carried <- Some (task, o)) outcome;
   (* the share of the retained evidence [gpm0 : h] covers, read from the
      learner's witnesses: the accuracy the lifecycle event reports
      before and after the adaptation *)

@@ -29,6 +29,11 @@ type t = {
   mutable current : Asg.Gpm.t;
       (** cached [apply_hypothesis gpm0 hypothesis]; keeps the served
           model's version stable between adaptations *)
+  mutable carried : (Ilp.Task.t * Ilp.Learner.outcome) option;
+      (** the task and outcome of the last relearn that found a
+          hypothesis, passed to the next relearn so that the examples
+          still retained keep their witnesses and killer lists; bounded
+          by [memory], kept across a failed relearn *)
 }
 
 val create : config -> Asg.Gpm.t -> t
@@ -44,11 +49,13 @@ val record_violation : t -> bool -> unit
 val violation_rate : t -> float
 
 (** Unconditional relearning; keeps the old hypothesis on failure.
-    Emits an {!Obs.Health} lifecycle event (signal ["padap.relearn"],
-    kind ["relearn"]) carrying the trigger [reason] (default
-    ["manual"]), examples consumed, old/new hypothesis size, and the
-    accuracy delta over the retained evidence. Both accuracies are read
-    from the learner's witnesses ({!Ilp.Learner.covered}). *)
+    Only the examples added since the last successful relearn (see
+    [carried]) have their witnesses enumerated. Emits an {!Obs.Health}
+    lifecycle event (signal ["padap.relearn"], kind ["relearn"])
+    carrying the trigger [reason] (default ["manual"]), examples
+    consumed, old/new hypothesis size, and the accuracy delta over the
+    retained evidence. Both accuracies are read from the learner's
+    witnesses ({!Ilp.Learner.covered}). *)
 val relearn : ?reason:string -> t -> [ `Updated | `Unchanged | `Failed ]
 
 (** Signal a context shift: the next [maybe_adapt] relearns regardless of

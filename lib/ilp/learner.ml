@@ -27,6 +27,7 @@ let c_witnesses_truncated = Obs.Counter.make "ilp.witnesses_truncated"
 let c_candidates = Obs.Counter.make "ilp.candidates"
 let c_nodes_pruned = Obs.Counter.make "ilp.nodes_pruned"
 let c_kill_cells = Obs.Counter.make "ilp.kill_cells"
+let c_examples_carried = Obs.Counter.make "ilp.examples_carried"
 let h_kill_density = Obs.Histogram.make "ilp.kill_matrix.density"
 
 type stats = {
@@ -47,15 +48,23 @@ type witness = {
   traces_by_prod : (int * int list list) list;  (** prod id -> node traces *)
 }
 
+type evidence = {
+  witnesses : witness list;
+  truncated : bool;  (** the cap truncated [witnesses] *)
+  killers : int list list;
+      (** per witness, in order: the space indices of the candidates
+          killing it, descending *)
+}
+
 type outcome = {
   hypothesis : Task.hypothesis;
   cost : int;  (** total cost of hypothesis rules *)
   penalty : int;  (** total weight of sacrificed (uncovered) examples *)
   sacrificed : Example.t list;
   stats : stats;
-  evidence : (witness list * bool) list;
-      (** per task example, in order: its witnesses and whether the cap
-          truncated them; empty on the general path *)
+  evidence : evidence list;
+      (** per task example, in order; empty on the general path *)
+  max_witnesses : int;  (** the cap [evidence] was enumerated under *)
 }
 
 (* Witness enumeration with exact truncation detection: each solve asks
@@ -147,8 +156,42 @@ let greedy_score_compare (g1, c1, i1) (g2, c2, i2) =
 
 (* ---- Constraint path -------------------------------------------------- *)
 
+(* The carried outcome's evidence for each of [examples] physically
+   present in its task. The evidence depends only on the base GPM, the
+   space (for the killer lists) and the cap, so it is ignored unless all
+   three are the same. Each search starts where the last match ended and
+   wraps around: a sliding window keeps its shared examples in order, so
+   they match in one pass. *)
+let carried_evidence ~max_witnesses (t : Task.t) examples = function
+  | Some ((prev : Task.t), (o : outcome))
+    when prev.Task.gpm == t.Task.gpm
+         && prev.Task.space == t.Task.space
+         && o.max_witnesses = max_witnesses
+         && List.compare_lengths o.evidence prev.Task.examples = 0 ->
+    let prev_examples = Array.of_list prev.Task.examples in
+    let prev_evidence = Array.of_list o.evidence in
+    let m = Array.length prev_examples in
+    let start = ref 0 in
+    Array.map
+      (fun e ->
+        let rec find k stop =
+          if k = stop then None
+          else if prev_examples.(k) == e then Some k
+          else find (k + 1) stop
+        in
+        let found =
+          match find !start m with None -> find 0 !start | hit -> hit
+        in
+        Option.map
+          (fun k ->
+            start := k + 1;
+            prev_evidence.(k))
+          found)
+      examples
+  | Some _ | None -> Array.map (fun _ -> None) examples
+
 let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
-    (t : Task.t) : outcome option =
+    ?carried (t : Task.t) : outcome option =
   Obs.span "ilp.learn" @@ fun () ->
   let pool = match pool with Some p -> p | None -> Par.Config.pool () in
   let t0 = Obs.now () in
@@ -156,25 +199,53 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
   let n_ex = Array.length examples in
   let candidates = Array.of_list t.Task.space in
   let n_cand = Array.length candidates in
-  (* collect witnesses: per-example enumeration fans out across the pool
-     (each example is independent); assembly stays sequential in example
-     order so witness ids match the sequential run bit for bit *)
-  let evidence =
+  let prior = carried_evidence ~max_witnesses t examples carried in
+  (* collect witnesses of the examples without carried evidence:
+     per-example enumeration fans out across the pool (each example is
+     independent); assembly stays sequential in example order so witness
+     ids match a fresh sequential run bit for bit *)
+  let fresh =
+    Array.of_list
+      (List.filter (fun i -> Option.is_none prior.(i)) (List.init n_ex Fun.id))
+  in
+  let enumerated =
     Obs.span "ilp.witnesses" (fun () ->
         Par.parallel_map pool
-          (fun e -> witnesses_of_example_counted ~max_witnesses t.Task.gpm e)
-          examples
-        |> Array.mapi (fun i (ws, truncated) ->
-               (List.map (fun w -> { w with ex_idx = i }) ws, truncated)))
+          (fun i ->
+            witnesses_of_example_counted ~max_witnesses t.Task.gpm examples.(i))
+          fresh)
   in
-  let witnesses = Array.of_list (List.concat_map fst (Array.to_list evidence)) in
+  Obs.Counter.incr ~by:(n_ex - Array.length fresh) c_examples_carried;
+  (* per example: its witnesses (re-indexed to this task), truncation
+     flag, and killer lists when carried *)
+  let next_fresh = ref 0 in
+  let per_example =
+    Array.mapi
+      (fun i prior ->
+        let ws, truncated, killers =
+          match prior with
+          | Some ev -> (ev.witnesses, ev.truncated, Some ev.killers)
+          | None ->
+            let ws, truncated = enumerated.(!next_fresh) in
+            incr next_fresh;
+            (ws, truncated, None)
+        in
+        ( List.map (fun w -> if w.ex_idx = i then w else { w with ex_idx = i }) ws,
+          truncated,
+          killers ))
+      prior
+  in
+  let witnesses =
+    Array.of_list
+      (List.concat_map (fun (ws, _, _) -> ws) (Array.to_list per_example))
+  in
   let n_wit = Array.length witnesses in
   let wit_ids_of_ex = Array.make n_ex [] in
   Array.iteri
     (fun wid w -> wit_ids_of_ex.(w.ex_idx) <- wid :: wit_ids_of_ex.(w.ex_idx))
     witnesses;
   let n_truncated =
-    Array.fold_left (fun n (_, tr) -> if tr then n + 1 else n) 0 evidence
+    Array.fold_left (fun n (_, tr, _) -> if tr then n + 1 else n) 0 per_example
   in
   if n_truncated > 0 then
     Obs.Log.warn
@@ -185,12 +256,33 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
           ("cap", string_of_int max_witnesses);
           ("examples_truncated", string_of_int n_truncated);
         ];
-  (* kill matrix: one task per candidate row — each task writes only its
-     own [kill.(ci)] row and [killed_by_cand.(ci)] cell, so rows race on
-     nothing; [killers_of] is rebuilt sequentially afterwards in the same
-     ci-ascending order the sequential loop used *)
-  let kill = Array.make_matrix n_cand n_wit false in
+  (* kill matrix: carried witnesses keep their killer lists; the fresh
+     ones are evaluated in one task per candidate row — each task writes
+     only its own [rows.(ci)], so rows race on nothing. Both index lists
+     are then rebuilt sequentially, in the order a scan of the whole
+     matrix gives: [killers_of] ci-descending, [killed_by_cand]
+     wid-descending. *)
   let killers_of = Array.make n_wit [] in
+  let to_eval = ref [] in
+  let wid = ref 0 in
+  Array.iter
+    (fun (ws, _, killers) ->
+      match killers with
+      | Some ks ->
+        List.iter
+          (fun k ->
+            killers_of.(!wid) <- k;
+            incr wid)
+          ks
+      | None ->
+        List.iter
+          (fun _ ->
+            to_eval := !wid :: !to_eval;
+            incr wid)
+          ws)
+    per_example;
+  let to_eval = Array.of_list (List.rev !to_eval) in
+  let rows = Array.make n_cand [] in
   let killed_by_cand = Array.make n_cand [] in
   Obs.span "ilp.kill_matrix" (fun () ->
       Par.parallel_iter pool
@@ -199,17 +291,19 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
           Obs.fine_span "ilp.candidate_eval" (fun () ->
               let c = candidates.(ci) in
               let instantiate = instantiator c in
-              for wi = 0 to n_wit - 1 do
-                if kills_with instantiate c witnesses.(wi) then begin
-                  kill.(ci).(wi) <- true;
-                  killed_by_cand.(ci) <- wi :: killed_by_cand.(ci)
-                end
-              done))
+              Array.iter
+                (fun wi ->
+                  if kills_with instantiate c witnesses.(wi) then
+                    rows.(ci) <- wi :: rows.(ci))
+                to_eval))
         (Array.init n_cand Fun.id);
       for ci = 0 to n_cand - 1 do
-        for wi = 0 to n_wit - 1 do
-          if kill.(ci).(wi) then killers_of.(wi) <- ci :: killers_of.(wi)
-        done
+        List.iter (fun wi -> killers_of.(wi) <- ci :: killers_of.(wi)) rows.(ci)
+      done;
+      for wi = 0 to n_wit - 1 do
+        List.iter
+          (fun ci -> killed_by_cand.(ci) <- wi :: killed_by_cand.(ci))
+          killers_of.(wi)
       done);
   let kill_cells =
     Array.fold_left (fun acc l -> acc + List.length l) 0 killed_by_cand
@@ -219,14 +313,12 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
   if n_cand > 0 && n_wit > 0 then
     Obs.Histogram.observe h_kill_density
       (float_of_int kill_cells /. float_of_int (n_cand * n_wit));
-  (* search state *)
+  (* search state: [surviving.(i)] counts example [i]'s unkilled
+     witnesses, so the pending scans read one cell per example *)
   let kill_count = Array.make n_wit 0 in
-  let chosen = Array.make n_cand false in
+  let banned = Array.make n_cand false in
   let sacrificed = Array.make n_ex false in
-  let surviving = Array.make n_ex 0 in
-  Array.iteri
-    (fun i ids -> surviving.(i) <- List.length ids)
-    wit_ids_of_ex;
+  let surviving = Array.map List.length wit_ids_of_ex in
   let nodes = ref 0 in
   let pruned = ref 0 in
   let search_depth = ref 0 in
@@ -238,7 +330,7 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
      without it, soft examples make the sacrifice branching explode. *)
   let greedy_warm_start () =
     let kc = Array.make n_wit 0 in
-    let surv = Array.map (fun x -> x) surviving in
+    let surv = Array.copy surviving in
     let sac = Array.copy sacrificed in
     let cost = ref 0 in
     let choice = ref [] in
@@ -264,8 +356,7 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
           kc.(wid) <- kc.(wid) + 1;
           if kc.(wid) = 1 then begin
             let ei = witnesses.(wid).ex_idx in
-            if examples.(ei).Example.label = Example.Positive then
-              surv.(ei) <- surv.(ei) - 1
+            surv.(ei) <- surv.(ei) - 1
           end)
         killed_by_cand.(ci)
     in
@@ -275,7 +366,7 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
         else if
           examples.(i).Example.label = Example.Negative
           && (not sac.(i))
-          && List.exists (fun wid -> kc.(wid) = 0) wit_ids_of_ex.(i)
+          && surv.(i) > 0
         then Some i
         else go (i + 1)
       in
@@ -383,14 +474,13 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
          else if
            examples.(i).Example.label = Example.Negative
            && (not sacrificed.(i))
-           && List.exists (fun wid -> kill_count.(wid) = 0) wit_ids_of_ex.(i)
+           && surviving.(i) > 0
          then Some i
          else go (i + 1)
        in
        go 0
      and leaf_total () = !current_cost + !dead_penalty
      and choose ci k =
-       chosen.(ci) <- true;
        current_cost := !current_cost + candidates.(ci).Hypothesis_space.cost;
        current_choice := ci :: !current_choice;
        incr search_depth;
@@ -401,14 +491,15 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
            kill_count.(wid) <- kill_count.(wid) + 1;
            if kill_count.(wid) = 1 then begin
              let ei = witnesses.(wid).ex_idx in
-             if examples.(ei).Example.label = Example.Positive then begin
-               surviving.(ei) <- surviving.(ei) - 1;
-               if surviving.(ei) = 0 && not sacrificed.(ei) then begin
-                 match examples.(ei).Example.weight with
-                 | None -> hard_pos_dead := true
-                 | Some w -> dead_penalty := !dead_penalty + w
-               end
-             end
+             surviving.(ei) <- surviving.(ei) - 1;
+             if
+               surviving.(ei) = 0
+               && examples.(ei).Example.label = Example.Positive
+               && not sacrificed.(ei)
+             then
+               match examples.(ei).Example.weight with
+               | None -> hard_pos_dead := true
+               | Some w -> dead_penalty := !dead_penalty + w
            end)
          killed_by_cand.(ci);
        if not !hard_pos_dead then k ();
@@ -417,19 +508,20 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
            kill_count.(wid) <- kill_count.(wid) - 1;
            if kill_count.(wid) = 0 then begin
              let ei = witnesses.(wid).ex_idx in
-             if examples.(ei).Example.label = Example.Positive then begin
-               surviving.(ei) <- surviving.(ei) + 1;
-               if surviving.(ei) = 1 && not sacrificed.(ei) then
-                 match examples.(ei).Example.weight with
-                 | None -> ()
-                 | Some w -> dead_penalty := !dead_penalty - w
-             end
+             surviving.(ei) <- surviving.(ei) + 1;
+             if
+               surviving.(ei) = 1
+               && examples.(ei).Example.label = Example.Positive
+               && not sacrificed.(ei)
+             then
+               match examples.(ei).Example.weight with
+               | None -> ()
+               | Some w -> dead_penalty := !dead_penalty - w
            end)
          killed_by_cand.(ci);
        decr search_depth;
        current_choice := List.tl !current_choice;
-       current_cost := !current_cost - candidates.(ci).Hypothesis_space.cost;
-       chosen.(ci) <- false
+       current_cost := !current_cost - candidates.(ci).Hypothesis_space.cost
      and dfs () =
        incr nodes;
        Obs.Counter.incr c_search_nodes;
@@ -470,15 +562,23 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
            let wid =
              List.find (fun wid -> kill_count.(wid) = 0) wit_ids_of_ex.(ei)
            in
-           (* branch on each killer, cheapest first *)
+           (* branch on each killer, cheapest first. Once a killer's branch
+              returns it is banned from its later siblings, their subtrees
+              and the sacrifice branch, until this node returns: every
+              killer set is then reached once, at its first position in
+              the unbanned order. *)
            let killers =
              List.sort
                (fun a b ->
                  Int.compare candidates.(a).Hypothesis_space.cost
                    candidates.(b).Hypothesis_space.cost)
-               (List.filter (fun ci -> not chosen.(ci)) killers_of.(wid))
+               (List.filter (fun ci -> not banned.(ci)) killers_of.(wid))
            in
-           List.iter (fun ci -> choose ci dfs) killers;
+           List.iter
+             (fun ci ->
+               choose ci dfs;
+               banned.(ci) <- true)
+             killers;
            (* branch: sacrifice the example *)
            (match examples.(ei).Example.weight with
            | Some w ->
@@ -487,7 +587,8 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
              dfs ();
              current_cost := !current_cost - w;
              sacrificed.(ei) <- false
-           | None -> ())))
+           | None -> ());
+           List.iter (fun ci -> banned.(ci) <- false) killers))
      in
      Obs.span "ilp.search" dfs
    with Infeasible -> ());
@@ -520,7 +621,22 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
             kill_cells;
             max_depth = !max_depth;
           };
-        evidence = Array.to_list evidence;
+        evidence =
+          (let wid = ref 0 in
+           Array.to_list
+             (Array.map
+                (fun (ws, truncated, _) ->
+                  let killers =
+                    List.map
+                      (fun _ ->
+                        let k = killers_of.(!wid) in
+                        incr wid;
+                        k)
+                      ws
+                  in
+                  { witnesses = ws; truncated; killers })
+                per_example));
+        max_witnesses;
       }
 
 (* ---- General path ------------------------------------------------------ *)
@@ -593,6 +709,7 @@ let learn_general ?(max_subsets = 100_000) (t : Task.t) : outcome option =
                   max_depth = !max_depth;
                 };
               evidence = [];
+              max_witnesses = 0;
             }
         else begin
           for ci = next to n - 1 do
@@ -608,9 +725,9 @@ let learn_general ?(max_subsets = 100_000) (t : Task.t) : outcome option =
 (** Learn an optimal hypothesis, dispatching on the hypothesis space:
     the set-cover engine when every candidate is a constraint, the
     general subset search otherwise. *)
-let learn ?pool ?max_witnesses (t : Task.t) : outcome option =
+let learn ?pool ?max_witnesses ?carried (t : Task.t) : outcome option =
   if List.for_all Hypothesis_space.is_constraint_candidate t.Task.space then
-    learn_constraints ?pool ?max_witnesses t
+    learn_constraints ?pool ?max_witnesses ?carried t
   else learn_general t
 
 (** How many of the task's examples [G : h] covers, [G] the task's base
@@ -640,10 +757,10 @@ let covered (t : Task.t) (outcome : outcome option) (h : Task.hypothesis) :
     count covers t.Task.examples
   else
     count
-      (fun ((e : Example.t), (ws, truncated)) ->
-        if truncated then covers e
+      (fun ((e : Example.t), ev) ->
+        if ev.truncated then covers e
         else
-          let alive = List.exists survives ws in
+          let alive = List.exists survives ev.witnesses in
           match e.Example.label with
           | Example.Positive -> alive
           | Example.Negative -> not alive)

@@ -42,16 +42,29 @@ type witness = {
   traces_by_prod : (int * int list list) list;
 }
 
+(** One example's evidence under a task's base GPM. *)
+type evidence = {
+  witnesses : witness list;  (** in enumeration order *)
+  truncated : bool;  (** the [max_witnesses] cap truncated [witnesses] *)
+  killers : int list list;
+      (** per witness, in order: the indices into the task's space of the
+          candidates that kill it, in descending order *)
+}
+
 type outcome = {
   hypothesis : Task.hypothesis;
   cost : int;  (** total cost of hypothesis rules *)
   penalty : int;  (** total weight of sacrificed examples *)
   sacrificed : Example.t list;
   stats : stats;
-  evidence : (witness list * bool) list;
-      (** per task example, in order: its witnesses under the task's base
-          GPM and whether the [max_witnesses] cap truncated them; empty on
-          the general path *)
+  evidence : evidence list;
+      (** per task example, in order: its witnesses, truncation flag and
+          killer lists. A function of the base GPM, the space, the cap and
+          the example alone, so a later learn over the same three reuses
+          it ([?carried] of {!learn_constraints}). Empty on the general
+          path. *)
+  max_witnesses : int;
+      (** the cap [evidence] was enumerated under; 0 on the general path *)
 }
 
 (** All witnesses of an example under the base grammar, up to
@@ -92,15 +105,42 @@ val greedy_score_compare : int * int * int -> int * int * int -> int
 (** Exact engine for constraint-only spaces. Witness generation and the
     kill matrix fan out across [pool] (default: the process-wide
     {!Par.Config.pool}, sequential unless configured otherwise); the
-    outcome is identical for every pool size. *)
+    outcome is identical for every pool size.
+
+    The branch-and-bound branches on the killers of the first unkilled
+    witness of the first pending negative example, cheapest first, then
+    on sacrificing a soft example; a killer whose branch has returned is
+    left out of its later siblings and the sacrifice branch, so every
+    killer set is searched once. It stops after [max_nodes] nodes
+    (default 300,000) with the best hypothesis found so far.
+
+    [carried] is an earlier task and its outcome (a relearn's previous
+    learn). When that task has the same base GPM and space (physically)
+    and its outcome was learned under the same [max_witnesses], every
+    example physically present in it takes its witnesses, truncation
+    flag and killer lists from that outcome (counted in the
+    [ilp.examples_carried] counter); only the other examples are
+    enumerated and evaluated against the candidates. Otherwise it is
+    ignored. The outcome, its stats (timings aside) and its evidence
+    are those of a learn without [carried]. *)
 val learn_constraints :
-  ?pool:Par.t -> ?max_witnesses:int -> ?max_nodes:int -> Task.t -> outcome option
+  ?pool:Par.t ->
+  ?max_witnesses:int ->
+  ?max_nodes:int ->
+  ?carried:Task.t * outcome ->
+  Task.t ->
+  outcome option
 
 (** Best-first subset search; sound for any space, exponential. Weights
     are ignored (all examples treated as hard). Always sequential. *)
 val learn_general : ?max_subsets:int -> Task.t -> outcome option
 
 (** Dispatch: constraint engine when possible, general search otherwise. *)
-val learn : ?pool:Par.t -> ?max_witnesses:int -> Task.t -> outcome option
+val learn :
+  ?pool:Par.t ->
+  ?max_witnesses:int ->
+  ?carried:Task.t * outcome ->
+  Task.t ->
+  outcome option
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -445,6 +445,140 @@ let prop_padap_buffers_match_lists =
           && Agenp.Padap.violation_rate p = rate !violations)
         ops)
 
+(* A relearn that carries the last relearn's evidence learns what a
+   fresh learn of its task does: outcome, search nodes, kill cells and
+   evidence alike. Random add/relearn sequences over a noisy XACML pool
+   (every 5th label flipped, every 7th example hard, so some relearns
+   fail); beside them, learns from the PAdaP's store on the same
+   examples under another base GPM (same space) or another witness cap,
+   which must not use the store. *)
+type carry_op = Add_example of int | Relearn_now | Rebased | Recapped
+
+let same_learn (a : Ilp.Learner.outcome option) (b : Ilp.Learner.outcome option)
+    =
+  let witness (w : Ilp.Learner.witness) =
+    (w.ex_idx, w.traces_by_prod, Asp.Solver.model_to_string w.model)
+  in
+  let evidence (ev : Ilp.Learner.evidence) =
+    (ev.truncated, ev.killers, List.map witness ev.witnesses)
+  in
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    List.equal ( == ) a.hypothesis b.hypothesis
+    && a.cost = b.cost && a.penalty = b.penalty
+    && List.equal ( == ) a.sacrificed b.sacrificed
+    && a.stats.nodes = b.stats.nodes
+    && a.stats.kill_cells = b.stats.kill_cells
+    && a.stats.witnesses = b.stats.witnesses
+    && a.stats.truncated = b.stats.truncated
+    && a.max_witnesses = b.max_witnesses
+    && List.map evidence a.evidence = List.map evidence b.evidence
+  | Some _, None | None, Some _ -> false
+
+let prop_carried_relearn_matches_fresh ~domains =
+  let gpm0 = Workloads.Xacml_logs.gpm () in
+  let space =
+    Ilp.Hypothesis_space.generate (Workloads.Xacml_logs.modes ())
+  in
+  let clean =
+    Policy.Xacml.examples_of_log (Workloads.Xacml_logs.log ~seed:5 ~n:8 ())
+  in
+  let pool =
+    Array.of_list
+      (List.mapi
+         (fun i (e : Ilp.Example.t) ->
+           let label =
+             match (e.label, i mod 5 = 4) with
+             | l, false -> l
+             | Ilp.Example.Positive, true -> Ilp.Example.Negative
+             | Ilp.Example.Negative, true -> Ilp.Example.Positive
+           in
+           { e with label; weight = (if i mod 7 = 6 then None else Some 1) })
+         clean)
+  in
+  (* a different base GPM over the same space: the clean pool's rules
+     installed, so the negatives lose their witnesses *)
+  let rebased =
+    match
+      Ilp.Learner.learn (Ilp.Task.make ~gpm:gpm0 ~space ~examples:clean)
+    with
+    | Some o when o.hypothesis <> [] ->
+      Ilp.Task.apply_hypothesis gpm0 o.hypothesis
+    | Some _ | None -> failwith "the clean pool learns no rule"
+  in
+  let carried_count () =
+    Option.fold ~none:0 ~some:Obs.Counter.value
+      (Obs.Counter.find "ilp.examples_carried")
+  in
+  let name =
+    (if domains = 1 then "sequential" else "two-domain")
+    ^ " padap: carried relearn = fresh learn"
+  in
+  QCheck2.Test.make ~name ~count:(if domains = 1 then 40 else 15)
+    QCheck2.Gen.(
+      pair (int_range 1 10)
+        (list_size (int_bound 30)
+           (frequency
+              [
+                ( 5,
+                  map
+                    (fun i -> Add_example i)
+                    (int_bound (Array.length pool - 1)) );
+                (3, return Relearn_now);
+                (1, return Rebased);
+                (1, return Recapped);
+              ])))
+    (fun (memory, ops) ->
+      let par = Par.create ~domains () in
+      Fun.protect ~finally:(fun () -> Par.shutdown par) @@ fun () ->
+      let p =
+        Agenp.Padap.create
+          { (Agenp.Padap.default_config space) with memory; pool = Some par }
+          gpm0
+      in
+      let retained () = List.rev (Agenp.Padap.examples p) in
+      (* the store applies to neither learn: each equals a fresh one *)
+      let beside ~gpm ~max_witnesses =
+        let t = Ilp.Task.make ~gpm ~space ~examples:(retained ()) in
+        let before = carried_count () in
+        let o =
+          Ilp.Learner.learn_constraints ~pool:par ~max_witnesses
+            ?carried:p.carried t
+        in
+        carried_count () = before
+        && same_learn o (Ilp.Learner.learn_constraints ~max_witnesses t)
+      in
+      List.for_all
+        (function
+          | Add_example i ->
+            Agenp.Padap.add_example p pool.(i);
+            true
+          | Rebased -> beside ~gpm:rebased ~max_witnesses:64
+          | Recapped -> beside ~gpm:gpm0 ~max_witnesses:1
+          | Relearn_now -> (
+            let store = p.carried in
+            let expected =
+              match store with
+              | None -> 0
+              | Some (prev, _) ->
+                List.length
+                  (List.filter
+                     (fun e -> List.memq e prev.Ilp.Task.examples)
+                     (retained ()))
+            in
+            let before = carried_count () in
+            let result = Agenp.Padap.relearn p in
+            carried_count () - before = expected
+            &&
+            match (result, p.carried) with
+            | `Failed, now -> now == store
+            | (`Updated | `Unchanged), Some (t, o) ->
+              List.equal ( == ) t.Ilp.Task.examples (retained ())
+              && same_learn (Some o) (Ilp.Learner.learn t)
+            | (`Updated | `Unchanged), None -> false))
+        ops)
+
 let test_repository_representation () =
   let repo = Agenp.Repository.create () in
   Alcotest.(check bool) "no representation yet" true
@@ -535,6 +669,10 @@ let () =
           Alcotest.test_case "padap relearn accuracy" `Quick
             test_padap_relearn_accuracy;
           QCheck_alcotest.to_alcotest prop_padap_buffers_match_lists;
+          QCheck_alcotest.to_alcotest
+            (prop_carried_relearn_matches_fresh ~domains:1);
+          QCheck_alcotest.to_alcotest
+            (prop_carried_relearn_matches_fresh ~domains:2);
           Alcotest.test_case "repository representation" `Quick test_repository_representation;
           Alcotest.test_case "prep cleans grammar" `Quick test_prep_cleans_operator_grammar;
         ] );

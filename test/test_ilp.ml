@@ -755,11 +755,117 @@ let test_covered_truncation_fallback () =
         (Learner.covered t outcome h))
     [ []; [ List.nth space 0 ]; [ List.nth space 1 ]; [ List.nth space 2 ]; space ]
 
+(* ---- The search against the old one (test/reference_search.ml) ---- *)
+
+(* The five model families, plus a choice rule giving every example two
+   witnesses: name, base GPM, space, and [examples seed n]. *)
+let search_families =
+  let xacml seed n =
+    Policy.Xacml.examples_of_log (Workloads.Xacml_logs.log ~seed ~n ())
+  in
+  (* accepting in snow is invalid *)
+  let weather seed n =
+    let rng = Random.State.make [| seed |] in
+    List.init n (fun _ ->
+        let w = List.nth [ "snow"; "sun"; "rain" ] (Random.State.int rng 3) in
+        let accepting = Random.State.bool rng in
+        let s = if accepting then "accept" else "reject" in
+        let ctx = Printf.sprintf "weather(%s)." w in
+        if accepting && w = "snow" then Ilp.Example.negative_ctx s ctx
+        else Ilp.Example.positive_ctx s ctx)
+  in
+  let family name gpm modes examples =
+    lazy (name, gpm, Hypothesis_space.generate modes, examples)
+  in
+  [|
+    family "xacml flat" (Workloads.Xacml_logs.gpm ())
+      (Workloads.Xacml_logs.modes ()) xacml;
+    family "xacml hierarchy"
+      (Workloads.Xacml_logs.gpm_with_hierarchy ())
+      (Workloads.Xacml_logs.hierarchy_modes ())
+      xacml;
+    family "cav" (Workloads.Cav.gpm ()) (Workloads.Cav.modes ()) (fun seed n ->
+        Workloads.Cav.examples_of (Workloads.Cav.sample ~seed n));
+    family "resupply" (Workloads.Resupply.gpm ()) (Workloads.Resupply.modes ())
+      (fun seed n ->
+        List.concat_map Workloads.Resupply.examples_of_mission
+          (Workloads.Resupply.campaign ~seed ~n:(1 + (n / 4)) ()));
+    family "convoy" (Workloads.Convoy.gpm ()) (Workloads.Convoy.modes ())
+      (fun seed n ->
+        Workloads.Convoy.examples_of (Workloads.Convoy.sample ~seed n));
+    family "weather with a choice" (choice_gpm ())
+      (Mode.make ~target_prods:[ 0 ] ~heads:[ Mode.Constraint ]
+         ~bodies:
+           [
+             Mode.matom ~site:(Some 1) "result"
+               [ Mode.Constants [ "accept"; "reject" ] ];
+             Mode.matom "weather" [ Mode.Constants [ "snow"; "sun"; "rain" ] ];
+             Mode.matom "mode" [ Mode.Constants [ "fast"; "slow" ] ];
+           ]
+         ~max_body:2 ())
+      weather;
+  |]
+
+(* Per-example marks, applied cyclically: flip the label (noise), and
+   hard (no weight) or soft at a weight of 1-3. *)
+let mark_examples marks (examples : Example.t list) =
+  List.mapi
+    (fun i (e : Example.t) ->
+      let flip, hard = List.nth marks (i mod List.length marks) in
+      let label =
+        match (e.label, flip) with
+        | l, false -> l
+        | Example.Positive, true -> Example.Negative
+        | Example.Negative, true -> Example.Positive
+      in
+      { e with label; weight = (if hard then None else Some (1 + (i mod 3))) })
+    examples
+
+let gen_search_task =
+  QCheck2.Gen.(
+    quad
+      (int_bound (Array.length search_families - 1))
+      (int_bound 1000) (int_range 2 14)
+      (list_size (int_range 1 5)
+         (pair
+            (frequency [ (1, return true); (4, return false) ])
+            (frequency [ (1, return true); (3, return false) ]))))
+
+let print_search_task (fam, seed, n, marks) =
+  let name, _, _, _ = Lazy.force search_families.(fam) in
+  Printf.sprintf "%s, seed %d, n %d, marks (flip, hard) [%s]" name seed n
+    (String.concat "; "
+       (List.map (fun (f, h) -> Printf.sprintf "(%b, %b)" f h) marks))
+
+(* Banning a killer once its branch returns keeps the first leaf of
+   every killer set, so when the old search finished the two return
+   the same hypothesis, cost, penalty and sacrificed list. *)
+let prop_search_matches_reference =
+  let max_nodes = 20_000 in
+  QCheck2.Test.make ~name:"search = old search when it finishes" ~count:100
+    ~print:print_search_task gen_search_task (fun (fam, seed, n, marks) ->
+      let _, gpm, space, examples = Lazy.force search_families.(fam) in
+      let t =
+        Task.make ~gpm ~space ~examples:(mark_examples marks (examples seed n))
+      in
+      match Reference_search.learn ~max_nodes t with
+      | _, nodes when nodes > max_nodes -> true
+      | reference, _ -> (
+        match (reference, Learner.learn_constraints ~max_nodes t) with
+        | None, None -> true
+        | Some r, Some o ->
+          List.equal ( == ) r.Reference_search.hypothesis o.Learner.hypothesis
+          && r.Reference_search.cost = o.Learner.cost
+          && r.Reference_search.penalty = o.Learner.penalty
+          && List.equal ( == ) r.Reference_search.sacrificed
+               o.Learner.sacrificed
+        | Some _, None | None, Some _ -> false))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_learner_sound; prop_optimality_cost_bound;
       prop_generated_spaces_are_safe_and_unique; prop_candidate_costs_positive;
-      prop_covered_matches_covers ]
+      prop_covered_matches_covers; prop_search_matches_reference ]
 
 let () =
   (* the truncation tests deliberately trip the learner's witness-cap
