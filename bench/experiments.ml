@@ -1024,7 +1024,9 @@ let serve_cached_identical () : bool * float * float =
     && List.for_all2 Serve.Decision.equal uncached pass2
   in
   let st = Serve.stats engine in
-  (identical, Serve.hit_rate st.Serve.decisions, Serve.hit_rate st.Serve.grounds)
+  ( identical,
+    Serve.hit_rate st.Serve.decisions,
+    Serve.ground_hit_rate st.Serve.grounds )
 
 let serve ~quick () =
   section "SERVE  Decision serving: uncached vs cold vs warm vs batched";
@@ -1033,7 +1035,7 @@ let serve ~quick () =
   let reqs = serve_requests ~n ~seed:5 () in
   (* the cold workload: every context made unique by an inert sequence
      fact, so the decision memo can never hit and each request exercises
-     the incremental path — parse-tree reuse, core-cache hit, per-request
+     the compiled view — parse-tree reuse, compiled-core hit, per-request
      delta grounding *)
   let distinct_reqs =
     List.mapi
@@ -1057,7 +1059,7 @@ let serve ~quick () =
   in
   (* cold: a fresh engine over the distinct contexts — no request ever
      repeats, so this is the hot path the incremental grounder serves:
-     memo misses, core hits, delta grounds *)
+     memo misses, compiled-core hits, delta grounds *)
   let cold_engine = Serve.create gpm in
   let cold, cold_t =
     time (fun () ->
@@ -1107,10 +1109,9 @@ let serve ~quick () =
     st.Serve.decisions.Serve.hits st.Serve.decisions.Serve.misses
     st.Serve.decisions.Serve.evictions
     (Serve.hit_rate st.Serve.decisions);
-  Fmt.pr "ground cache:   %d hit(s), %d miss(es), %d eviction(s), rate %.2f@."
+  Fmt.pr "ground cache:   %d hit(s), %d miss(es), rate %.2f@."
     st.Serve.grounds.Serve.hits st.Serve.grounds.Serve.misses
-    st.Serve.grounds.Serve.evictions
-    (Serve.hit_rate st.Serve.grounds);
+    (Serve.ground_hit_rate st.Serve.grounds);
   Fmt.pr
     "cold-path delta: %d ground(s), %d fact(s), %d rule(s) added, %d \
      fallback(s), %.0f ns/ground@."
@@ -1118,13 +1119,7 @@ let serve ~quick () =
     delta.Serve.delta_rules delta.Serve.fallbacks ns_per_ground;
   if not identical then
     Fmt.pr "WARNING: cached decisions differ from the uncached reference@.";
-  let tier name (ts : Serve.tier_stats) =
-    Printf.sprintf
-      "\"%s\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-       \"hit_rate\": %.3f}"
-      name ts.Serve.hits ts.Serve.misses ts.Serve.evictions
-      (Serve.hit_rate ts)
-  in
+  let decisions = st.Serve.decisions and grounds = st.Serve.grounds in
   let oc = open_out "BENCH_serve.json" in
   Printf.fprintf oc
     "{\n\
@@ -1137,16 +1132,18 @@ let serve ~quick () =
     \  \"batch_ns_per_req\": %.0f,\n\
     \  \"cold_speedup\": %.2f,\n\
     \  \"warm_speedup\": %.2f,\n\
-    \  %s,\n\
-    \  %s,\n\
+    \  \"decision_cache\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
+     \"hit_rate\": %.3f},\n\
+    \  \"ground_cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f},\n\
     \  \"delta\": {\"grounds\": %d, \"facts\": %d, \"rules_added\": %d, \
      \"fallbacks\": %d, \"ns_per_ground\": %.0f},\n\
     \  \"identical_outcome\": %b\n\
      }\n"
     n (per_req uncached_t) (per_req cold_t) (per_req fill_t) (per_req warm_t)
     (per_req batch_t) (speedup cold_t) (speedup warm_t)
-    (tier "decision_cache" st.Serve.decisions)
-    (tier "ground_cache" st.Serve.grounds)
+    decisions.Serve.hits decisions.Serve.misses decisions.Serve.evictions
+    (Serve.hit_rate decisions) grounds.Serve.hits grounds.Serve.misses
+    (Serve.ground_hit_rate grounds)
     delta.Serve.delta_grounds delta.Serve.delta_facts delta.Serve.delta_rules
     delta.Serve.fallbacks ns_per_ground identical;
   close_out oc;
@@ -1156,7 +1153,7 @@ let serve ~quick () =
 
 let serve2 ~quick () =
   section
-    "SERVE2  Multi-tenant cluster: Zipf stream, coalescing, backpressure";
+    "SERVE2  Multi-tenant cluster: Zipf stream, windows, coalescing";
   let tenants = 4 in
   let n = if quick then 160 else 640 in
   let queue_depth = 32 in
@@ -1166,7 +1163,7 @@ let serve2 ~quick () =
   let pool_size = Array.length base in
   (* Zipf over the context pool: P(rank k) ∝ 1/k, so a handful of hot
      contexts dominate the stream — the regime where per-shard memos
-     and drain-window coalescing pay *)
+     and per-window coalescing pay *)
   let weights = Array.init pool_size (fun i -> 1.0 /. float_of_int (i + 1)) in
   let total_w = Array.fold_left ( +. ) 0.0 weights in
   let st = Random.State.make [| 42 |] in
@@ -1236,26 +1233,6 @@ let serve2 ~quick () =
       reqs served
   in
   let coalesced = Serve.Cluster.coalesced cluster in
-  (* backpressure probe on a throwaway cluster: a depth-2 queue must
-     reject exactly the overflow, explicitly *)
-  let rejected_on_overfill =
-    let c2 = Serve.Cluster.create ~queue_depth:2 ~tenants:[ ("solo", gpm) ] () in
-    let tks =
-      List.init 4 (fun i ->
-          Serve.Cluster.submit c2
-            (Serve.Request.make ~tenant:"solo"
-               ~context:base.(i mod pool_size).Serve.Request.context
-               ~options:base.(i mod pool_size).Serve.Request.options ()))
-    in
-    ignore (Serve.Cluster.drain c2);
-    List.length
-      (List.filter
-         (fun tk ->
-           match Serve.Cluster.poll tk with
-           | Some (Serve.Cluster.Rejected Serve.Cluster.Queue_full) -> true
-           | _ -> false)
-         tks)
-  in
   (* cross-tenant invalidation audit: swapping t0's model must leave
      every other shard's decision memo untouched *)
   let other_memo_entries () =
@@ -1273,19 +1250,19 @@ let serve2 ~quick () =
     List.fold_left2 (fun acc b a -> acc + max 0 (b - a)) 0 before after
   in
   let shard_stats = Serve.Cluster.stats cluster in
-  Fmt.pr "%d requests, %d tenants, queue depth %d, pool of %d contexts@." n
+  Fmt.pr "%d requests, %d tenants, windows of %d, pool of %d contexts@." n
     tenants queue_depth pool_size;
   Fmt.pr "cluster: %.3f s (%.0f req/s)  sequential single shard: %.3f s@."
     cluster_t rps seq_t;
   Fmt.pr "latency p50 %.0f us, p99 %.0f us@." (p50 *. 1e6) (p99 *. 1e6);
-  Fmt.pr "coalesced %d, overfill rejected %d, cross-tenant invalidations %d@."
-    coalesced rejected_on_overfill cross_tenant_invalidations;
+  Fmt.pr "coalesced %d, cross-tenant invalidations %d@." coalesced
+    cross_tenant_invalidations;
   Fmt.pr "%-10s %-16s %s@." "shard" "decision rate" "ground rate";
   List.iter
     (fun (tenant, st) ->
       Fmt.pr "%-10s %-16.2f %.2f@." tenant
         (Serve.hit_rate st.Serve.decisions)
-        (Serve.hit_rate st.Serve.grounds))
+        (Serve.ground_hit_rate st.Serve.grounds))
     shard_stats;
   Fmt.pr "decisions %s the sequential reference; provenance %s@."
     (if identical then "identical to" else "DIFFERENT from")
@@ -1305,7 +1282,6 @@ let serve2 ~quick () =
     \  \"p99_s\": %.6f,\n\
     \  \"shards\": {%s},\n\
     \  \"coalesced\": %d,\n\
-    \  \"rejected_on_overfill\": %d,\n\
     \  \"cross_tenant_invalidations\": %d,\n\
     \  \"shard_provenance\": %b,\n\
     \  \"identical_outcome\": %b\n\
@@ -1319,9 +1295,9 @@ let serve2 ~quick () =
                %.3f}"
               tenant
               (Serve.hit_rate st.Serve.decisions)
-              (Serve.hit_rate st.Serve.grounds))
+              (Serve.ground_hit_rate st.Serve.grounds))
           shard_stats))
-    coalesced rejected_on_overfill cross_tenant_invalidations routed identical;
+    coalesced cross_tenant_invalidations routed identical;
   close_out oc;
   Fmt.pr "snapshot written to BENCH_serve2.json@."
 

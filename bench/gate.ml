@@ -134,10 +134,10 @@ let load_serve_baseline path : bool * float * float option * float option =
 (* the committed multi-tenant serve snapshot: the cluster must have
    matched the sequential single-shard path bit-for-bit, routed every
    response to its tenant's shard, actually coalesced duplicate work,
-   rejected the backpressure overfill, and never invalidated across
-   tenants. Per-shard tier rates ride along for the zero-hit check. *)
+   and never invalidated across tenants. Per-shard tier rates ride
+   along for the zero-hit check. *)
 let load_serve2_baseline path :
-    bool * bool * int * int * int * (string * float * float) list =
+    bool * bool * int * int * (string * float * float) list =
   let j = read_json path in
   (match Obs.Json.(to_str (member "schema" j)) with
   | "bench-serve2/1" -> ()
@@ -156,7 +156,6 @@ let load_serve2_baseline path :
   ( Obs.Json.(to_bool (member "identical_outcome" j)),
     Obs.Json.(to_bool (member "shard_provenance" j)),
     Obs.Json.(int_of_float (to_num (member "coalesced" j))),
-    Obs.Json.(int_of_float (to_num (member "rejected_on_overfill" j))),
     Obs.Json.(int_of_float (to_num (member "cross_tenant_invalidations" j))),
     shards )
 
@@ -355,8 +354,7 @@ let run args =
       | None ->
         Fmt.pr "serve2: skipped@.";
         true
-      | Some (identical, provenance, coalesced, rejected, invalidations, shards)
-        ->
+      | Some (identical, provenance, coalesced, invalidations, shards) ->
         let problems =
           List.filter_map Fun.id
             [
@@ -367,10 +365,6 @@ let run args =
                else Some "responses misrouted (shard_provenance=false)");
               (if coalesced > 0 then None
                else Some "no duplicate work coalesced (coalesced=0)");
-              (if rejected > 0 then None
-               else
-                 Some "backpressure overfill produced no rejection \
-                       (rejected_on_overfill=0)");
               (if invalidations = 0 then None
                else
                  Some
@@ -392,7 +386,7 @@ let run args =
         | [] ->
           Fmt.pr
             "serve2: committed snapshot: %d shard(s) outcome-identical, %d \
-             coalesced, overfill rejected, 0 cross-tenant invalidations@."
+             coalesced, 0 cross-tenant invalidations@."
             (List.length shards) coalesced
         | ps -> List.iter (fun p -> Fmt.pr "serve2: %s  FAIL@." p) ps);
         problems = []

@@ -380,8 +380,8 @@ let serve_cmd obs grammar requests context repeat stats batch tenants
   in
   if tenants > 1 then begin
     (* multi-tenant path: one shard per simulated tenant, the request
-       stream round-robined across them, served through the cluster's
-       flow-controlled ingestion front *)
+       stream round-robined across them and served through the cluster
+       in coalescing windows *)
     let unsupported flag =
       raise
         (Cli_input_error
@@ -422,8 +422,7 @@ let serve_cmd obs grammar requests context repeat stats batch tenants
         (fun (tenant, s) ->
           Fmt.pr "shard %s:@.%a@." tenant Serve.pp_stats s)
         (Serve.Cluster.stats cluster);
-      Fmt.pr "cluster: %d submitted, %d coalesced, %d rejected@."
-        (Serve.Cluster.submitted cluster)
+      Fmt.pr "cluster: %d coalesced, %d rejected@."
         (Serve.Cluster.coalesced cluster)
         (Serve.Cluster.rejected cluster)
     end;
@@ -610,7 +609,7 @@ let monitor_cmd obs grammar requests context repeat slo_target slo_objective
   Fmt.pr "served %d request(s): memo rate %.2f, ground rate %.2f@."
     (s.Serve.decisions.Serve.hits + s.Serve.decisions.Serve.misses)
     (Serve.hit_rate s.Serve.decisions)
-    (Serve.hit_rate s.Serve.grounds);
+    (Serve.ground_hit_rate s.Serve.grounds);
   (match Obs.Window.find "serve.decide" with
   | Some w ->
     Fmt.pr
@@ -939,22 +938,23 @@ let serve_t =
            ~doc:"Serve through a sharded multi-tenant cluster of N \
                  simulated tenants (t0..tN-1), round-robining the request \
                  stream across them. Each tenant owns an isolated shard \
-                 (its own memo, ground cache, and model stamp); decisions \
+                 (its own decision memo and model stamp); decisions \
                  print with shard provenance. N=1 keeps the single-engine \
                  path.")
   in
   let queue_depth =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
-           ~doc:"Bound of the cluster ingestion queue (with --tenants > 1): \
-                 the flow-controlled stream drains whenever N requests are \
-                 queued, coalescing identical (tenant, context, options) \
-                 submissions in each window.")
+           ~doc:"Window size of the cluster (with --tenants > 1): the \
+                 stream is served in consecutive windows of N requests, \
+                 and identical (tenant, context, options) requests within \
+                 a window share one computation.")
   in
   let stats_json =
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
            ~doc:"Write the engine statistics to FILE as one JSON object \
-                 (schema serve-stats/4: per-tier hits/misses/evictions/\
-                 collisions/entries/capacity/hit_rate, delta-grounding \
+                 (schema serve-stats/5: decision-memo hits/misses/\
+                 evictions/collisions/entries/capacity/hit_rate, \
+                 ground-tier hits/misses/hit_rate, delta-grounding \
                  counts, audit-ring occupancy, and the policy-health \
                  signals).")
   in

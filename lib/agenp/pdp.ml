@@ -37,7 +37,7 @@ let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
       match Serve.Cluster.decide cluster request with
       | Serve.Cluster.Served r -> r.Serve.Response.decision
       | Serve.Cluster.Rejected _ ->
-        (* backpressure never loses a decision: fall back to the
+        (* a rejection never loses a decision: fall back to the
            cache-free reference path, which is outcome-identical *)
         Serve.decide_uncached gpm request)
     | None ->

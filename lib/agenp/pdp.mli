@@ -10,8 +10,8 @@ exception No_options
     {!Serve.t} engine or one tenant's shard of a {!Serve.Cluster}.
     Without a target the options are checked through the model's
     compiled view ({!Asg.Membership.accepts_in_context}). All paths
-    return identical decisions — a cluster rejection (backpressure)
-    falls back to the cache-free reference path
+    return identical decisions — a cluster rejection (a tenant the
+    cluster does not own) falls back to the cache-free reference path
     ({!Serve.decide_uncached}) rather than losing the decision.
     @raise No_options when [options] is empty. *)
 val decide :

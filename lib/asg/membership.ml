@@ -49,38 +49,56 @@ let accepts_uncompiled ?context (g : Gpm.t) (tokens : string list) : bool =
   Obs.span "asg.membership" @@ fun () ->
   Seq.exists (fun tp -> satisfiable tp.program) (tree_programs ?context g tokens)
 
-let compiled (g : Gpm.t) (t : Gpm.tree) : Asp.Solver.compiled =
+type tally = {
+  mutable trees : int;
+  mutable compiles : int;
+  mutable facts : int;
+  mutable rules : int;
+}
+
+let tally () = { trees = 0; compiles = 0; facts = 0; rules = 0 }
+
+let compiled ?tally (g : Gpm.t) (t : Gpm.tree) : Asp.Solver.compiled =
   match Atomic.get t.compiled with
   | Some c -> c
   | None ->
     (* a racing domain compiles the same pure value; either may stay *)
     let c = Asp.Solver.compile (Tree_program.program g t.tree) in
     Atomic.set t.compiled (Some c);
+    Option.iter (fun k -> k.compiles <- k.compiles + 1) tally;
     c
 
 (* membership of [tokens] in [L(G(C))] for a context [C] of ground facts:
    each memoised tree's frozen core extended with [C]'s facts at the
    tree's node traces *)
-let accepts_facts (g : Gpm.t) ~(facts : Asp.Atom.t list) (tokens : string list)
-    : bool =
+let accepts_facts ?tally (g : Gpm.t) ~(facts : Asp.Atom.t list)
+    (tokens : string list) : bool =
   Obs.span "asg.membership" @@ fun () ->
   List.exists
     (fun (t : Gpm.tree) ->
       Obs.Counter.incr c_hypothesis_evals;
       Obs.fine_span "asg.tree_eval" @@ fun () ->
-      fst
-        (Asp.Solver.has_answer_set_extended (compiled g t)
-           ~facts:(Tree_program.context_facts t.tree facts)))
+      let facts = Tree_program.context_facts t.tree facts in
+      let sat, rules =
+        Asp.Solver.has_answer_set_extended (compiled ?tally g t) ~facts
+      in
+      (match tally with
+      | Some k ->
+        k.trees <- k.trees + 1;
+        k.facts <- k.facts + List.length facts;
+        k.rules <- k.rules + rules
+      | None -> ());
+      sat)
     (Gpm.compiled_trees g tokens)
 
 let accepts (g : Gpm.t) (sentence : string) : bool =
   accepts_facts g ~facts:[] (tokenize sentence)
 
-let accepts_in_context (g : Gpm.t) ~(context : Asp.Program.t)
+let accepts_in_context ?tally (g : Gpm.t) ~(context : Asp.Program.t)
     (sentence : string) : bool =
   let tokens = tokenize sentence in
   match Asp.Program.ground_facts context with
-  | Some facts -> accepts_facts g ~facts tokens
+  | Some facts -> accepts_facts ?tally g ~facts tokens
   | None -> accepts_uncompiled ~context g tokens
 
 let witness ?context (g : Gpm.t) (sentence : string) :

@@ -3,11 +3,11 @@
 
     A sentence is evaluated under [G(C)] in one of two ways. {!programs}
     builds [G(C)[PT]] from scratch; the learner's witnesses, preference
-    pricing, explanations, repair and the serving layer reach the
-    programs through it. The membership predicates {!accepts} and
-    {!accepts_in_context} decide a ground-fact context through the
-    model's compiled view instead: frozen [G[PT]] cores kept on the
-    model, extended with the context's facts. *)
+    pricing, explanations and repair reach the programs through it. The
+    membership predicates {!accepts} and {!accepts_in_context} decide a
+    ground-fact context through the model's compiled view instead:
+    frozen [G[PT]] cores kept on the model, extended with the context's
+    facts. The serving layer decides through {!accepts_in_context}. *)
 
 val tokenize : string -> string list
 
@@ -51,15 +51,31 @@ val accepts_uncompiled :
     tree compiles [G[PT]]; later asks only decide the prepared state. *)
 val accepts : Gpm.t -> string -> bool
 
+(** The work one or more compiled-view checks did, for a caller that
+    accounts for it (the serving layer's ground tier and delta counts).
+    Membership only adds to it and never reads it, so no answer depends
+    on a tally. *)
+type tally = {
+  mutable trees : int;  (** trees decided *)
+  mutable compiles : int;  (** cores compiled by these checks *)
+  mutable facts : int;  (** context facts instantiated at node traces *)
+  mutable rules : int;  (** ground rules the facts added to the cores *)
+}
+
+(** A zeroed tally. *)
+val tally : unit -> tally
+
 (** [s ∈ L(G(C))]. When [context] is ground facts only
     ({!Asp.Program.ground_facts}, the empty context included), through
     the model's compiled view: only the facts, instantiated at each
     tree's node traces ({!Tree_program.context_facts}), are grounded
     against the tree's frozen core ({!Asp.Solver.has_answer_set_extended}),
-    stopping at the first accepting tree. A context with proper rules
-    changes [G(C)[PT]] beyond facts and takes {!accepts_uncompiled}.
-    Answers equal {!accepts_uncompiled} on every context. *)
-val accepts_in_context : Gpm.t -> context:Asp.Program.t -> string -> bool
+    stopping at the first accepting tree; [tally] counts that work. A
+    context with proper rules changes [G(C)[PT]] beyond facts and takes
+    {!accepts_uncompiled}, leaving [tally] untouched. Answers equal
+    {!accepts_uncompiled} on every context. *)
+val accepts_in_context :
+  ?tally:tally -> Gpm.t -> context:Asp.Program.t -> string -> bool
 
 (** A witnessing answer set for an accepted sentence: the first answer
     set of the first parse tree that has one. *)

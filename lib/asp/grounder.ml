@@ -979,7 +979,6 @@ module Incremental = struct
   type inst_rule = { ir_rule : Rule.t; ir_plan : jelt list; ir_chead : chead }
 
   type core = {
-    k_program : Program.t;
     k_base : base;
     k_next_round : int;
     k_ground : ground_program;
@@ -1003,7 +1002,6 @@ module Incremental = struct
             dormant rule) — the delta is then just the facts themselves *)
   }
 
-  let core_program k = k.k_program
   let core_ground k = k.k_ground
 
   let add_dep tbl key i =
@@ -1099,7 +1097,6 @@ module Incremental = struct
     let base_set = base_set_of b in
     log_grounded p ~n_out:!n_frozen ~base_set;
     {
-      k_program = p;
       k_base = b;
       k_next_round = b.flushed_round + 1;
       k_ground =

@@ -86,9 +86,6 @@ module Incremental : sig
       @raise Unsafe_rule / @raise Aggregate_in_rule as {!ground}. *)
   val freeze : Program.t -> core
 
-  (** The program the core was frozen from. *)
-  val core_program : core -> Program.t
-
   (** The core's own ground program (no context facts). *)
   val core_ground : core -> ground_program
 

@@ -75,7 +75,7 @@ val has_answer_set_prepared :
     ground facts: its frozen incremental-grounding core and the prepared
     solver state of the core's ground program. Immutable; safe to share
     across domains. *)
-type compiled = { core : Grounder.Incremental.core; prepared : prepared }
+type compiled
 
 (** Ground and freeze [p] ({!Grounder.Incremental.freeze}) and prepare
     its ground program.

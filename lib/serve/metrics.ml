@@ -61,7 +61,14 @@ let response ~status ~content_type body =
      %s"
     status content_type (String.length body) body
 
+(* how long one client may stall a read or a write: the accept loop
+   serves one connection at a time, so a client that never sends (or
+   never reads) must not hold up the next scrape or [stop] *)
+let client_timeout = 1.0
+
 let handle render client =
+  Unix.setsockopt_float client Unix.SO_RCVTIMEO client_timeout;
+  Unix.setsockopt_float client Unix.SO_SNDTIMEO client_timeout;
   let head = read_head client in
   let request_line =
     match String.index_opt head '\n' with

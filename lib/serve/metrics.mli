@@ -3,7 +3,10 @@
     [GET /metrics] with the text produced by a caller-supplied render
     function (normally {!Obs.Openmetrics.render} composed with engine
     gauges). Any other path gets a 404; every connection is served and
-    closed ([Connection: close]).
+    closed ([Connection: close]). Connections are served one at a time,
+    and each read or write of a client times out after a second, so a
+    client that connects and stalls delays the next scrape and {!stop}
+    by at most that long.
 
     The server is a [Thread] (not a domain): exposition is IO-bound
     and must not compete with the pool domains for cores. Rendering

@@ -1,8 +1,7 @@
 (** The policy-decision serving layer: a request/response engine over a
-    generative policy model ({!Asg.Gpm}) that makes repeated decisions
-    fast with two cache tiers, and a sharded multi-tenant front
-    ({!Cluster}) that runs one isolated engine per tenant behind a
-    bounded ingestion queue.
+    generative policy model ({!Asg.Gpm}) that remembers whole decisions,
+    and a multi-tenant router ({!Cluster}) that runs one isolated engine
+    per tenant.
 
     {2 Decision semantics}
 
@@ -10,74 +9,61 @@
     order. The decision is the first option admitted by the model in
     that context ([s ∈ L(G(C))]); when the model admits none, the last
     option is returned as a flagged fail-safe. Cached and uncached paths
-    return bit-identical decisions — caches only change latency, never
+    return bit-identical decisions — caching only changes latency, never
     outcomes (pinned by the differential property tests).
 
-    {2 Cache tiers}
+    {2 The engine: a memo over the model's compiled view}
 
-    - {b Ground-program (core) cache}: each membership check grounds an
-      induced ASP program. For the common fact-only context the engine
-      splits the program in two: the {e context-free core} the parse
-      tree induces — frozen once via {!Asp.Grounder.Incremental.freeze},
-      paired with its precompiled solver state ({!Asp.Solver.prepare}),
-      and cached keyed by {!Asp.Program.fingerprint} (hits confirmed
-      with {!Asp.Program.equal}) — and the per-request context facts,
-      which are {e delta-grounded} against the frozen core
-      ({!Asp.Grounder.Incremental.delta_with}) and {e delta-solved}
-      against the prepared state
-      ({!Asp.Solver.has_answer_set_prepared}), so a warm check pays for
-      its delta only, never a recompile of the core. A context that
-      touches a latent negative literal or dormant choice of the core
-      repairs it via {!Asp.Grounder.Incremental.ground_with} and solves
-      the combined program whole. The cache key no longer embeds the
-      context, so distinct contexts over the same model hit the same
-      core and per-request grounding cost scales with context size, not
-      program size. Contexts carrying proper rules fall back to
-      freezing the full context-baked program (counted in
-      [delta.fallbacks]); structurally recurring rule contexts still
-      hit. Keys do not mention the model version: a structurally
-      recurring program stays warm across adaptations. A fingerprint
-      collision (resident key, unequal program) replaces the resident
-      entry; it is counted in the tier's own [collisions] counter,
-      separately from capacity evictions.
     - {b Decision memo}: whole decisions keyed by (GPM version, context
-      fingerprint, options). {!Asg.Gpm.version} is bumped by every
-      [with_context]/[with_hypothesis]/adaptation, so stale entries are
-      unreachable by construction; {!set_gpm} additionally clears the
-      memo explicitly when the model changes, and {!invalidate} drops
-      both tiers.
+      fingerprint, options), hits confirmed by structural context
+      equality, LRU-evicted ({!Lru}). {!Asg.Gpm.version} is bumped by
+      every [with_context]/[with_hypothesis]/adaptation, so stale
+      entries are unreachable by construction; {!set_gpm} additionally
+      clears the memo when the model changes.
+    - {b Ground tier}: a memo miss decides each option with
+      {!Asg.Membership.accepts_in_context} — the same call the
+      engine-free PDP makes. For a ground-fact context it decides each
+      parse tree on the model value's compiled view: the tree's frozen
+      core, compiled once per model value and kept on it, extended with
+      the context facts alone. The engine keeps nothing beside the
+      model: engines and shards given the same model value share its
+      compiled cores, and a new model value starts with none. The tier's
+      statistics come from the check's {!Asg.Membership.tally}: a hit is
+      a tree decided on an already-compiled core, a miss a core compiled
+      by the check. A request is a [Ground_hit] when it decided at least
+      one tree and compiled none. The view has no capacity, so the tier
+      has no entries, evictions or collisions. A context with proper
+      rules is decided from scratch ({!Asg.Membership.accepts_uncompiled},
+      counted in [delta.fallbacks]) and reads [Cold]; the memo still
+      absorbs its exact repeats.
 
-    Both tiers use LRU eviction ({!Lru}) and report
-    hit/miss/eviction/collision counters plus latency histograms
-    through [lib/obs] (spans [serve.decide] / [serve.batch], counters
-    [serve.*], rolling window [serve.decide]).
+    The engine reports its tiers through [lib/obs]: span [serve.decide]
+    (with [asg.membership] beneath it for every option checked),
+    counters [serve.*], rolling window [serve.decide].
 
     {2 Multi-tenant serving}
 
     {!Cluster} scales the engine to many tenants: each tenant (an AMS,
     a coalition member, a party in the FLAP sense) owns a {!Shard} —
-    its own engine, so its own decision memo, ground cache, GPM
-    version stamp, latency window and health signal. Shards share no
-    mutable state: tenants never contend on a lock and a model swap on
-    one tenant ({!Cluster.set_gpm}) cannot invalidate another's
-    entries. Requests carry a [tenant] id and enter through a bounded
-    queue ({!Cluster.submit}); when the queue is full the cluster
-    answers [Rejected Queue_full] immediately — backpressure is
-    explicit, never silent. {!Cluster.drain} serves the queue,
-    {e coalescing} identical (tenant, context, options) requests so
-    duplicates in one drain window resolve from a single computation,
-    and fanning the distinct work across a [lib/par] pool. Responses
+    its own engine, so its own decision memo, GPM version stamp,
+    latency window and health signal. Shards share no mutable state of
+    their own: a model swap on one tenant ({!Cluster.set_gpm}) cannot
+    invalidate another's entries. Requests carry a [tenant] id;
+    {!Cluster.run} rejects unknown tenants and serves the rest in
+    consecutive windows, {e coalescing} identical (tenant, context,
+    options) requests within a window into one computation and fanning
+    each window's distinct work across a [lib/par] pool. Responses
     carry shard provenance ({!Response.t.shard}).
 
     {2 The ops plane}
 
     Every served decision is request-scoped: {!decide} runs under an
     [Obs.Trace_context] scope (reusing the ambient trace or rooting a
-    fresh one), so its span, any grounder/solver spans and log lines
-    beneath it, the audit record, and {!Response.t.trace_id} all carry
-    one ID; {!Batch.run} gives each request a child ID that survives
-    the [lib/par] fan-out, and so does every request queued through a
-    {!Cluster}. Decisions are recorded in a bounded {!Audit} ring
+    fresh one), so its span, any membership/grounder/solver spans and
+    log lines beneath it, the audit record, and {!Response.t.trace_id}
+    all carry one ID; {!Batch.run} gives each request a child ID that
+    survives the [lib/par] fan-out, and so does {!Cluster.run}.
+    Decisions are recorded in a bounded {!Audit} ring
     (JSONL-exportable), latency feeds a rolling [serve.decide] window
     and an optional {!Obs.Slo}, and {!openmetrics} (servable over TCP
     via {!Metrics}) exposes it all in the Prometheus/OpenMetrics text
@@ -139,8 +125,11 @@ end
 
 (** Where a response came from. *)
 type provenance =
-  | Cold  (** full membership evaluation, no cache helped *)
-  | Ground_hit  (** decision recomputed, but on cached ground programs *)
+  | Cold
+      (** decision recomputed, compiling a core, from scratch (a context
+          with rules), or with no tree to decide *)
+  | Ground_hit
+      (** decision recomputed, every tree on an already-compiled core *)
   | Memo_hit  (** whole decision served from the memo *)
 
 val provenance_to_string : provenance -> string
@@ -167,7 +156,6 @@ module Config : sig
 
   type caching = {
     decision_cache : int;  (** decision-memo capacity (entries) *)
-    ground_cache : int;  (** ground-program cache capacity (entries) *)
   }
 
   type audit = {
@@ -184,41 +172,50 @@ module Config : sig
 
   type t = { caching : caching; audit : audit; slo : slo }
 
-  (** 256 decisions, 512 ground programs, 1024 audit records, no SLO
-      (objective 0.99 over 60 s once a target is set). *)
+  (** 256 decisions, 1024 audit records, no SLO (objective 0.99 over
+      60 s once a target is set). *)
   val default : t
 end
 
-(** Per-tier cache statistics of one engine. *)
+(** The decision memo's statistics. *)
 type tier_stats = {
   hits : int;
   misses : int;
   evictions : int;  (** entries pushed out by capacity pressure *)
   collisions : int;
-      (** fingerprint collisions: a resident key whose stored program
+      (** fingerprint collisions: a resident key whose stored context
           was not structurally equal to the probe — the resident is
           replaced, which is neither a hit nor a capacity eviction *)
   entries : int;
   cap : int;
 }
 
+(** The ground tier's statistics: tree checks on the model's compiled
+    view ({!Asg.Membership.tally}). A hit decided a tree whose core was
+    already compiled; a miss compiled it. *)
+type ground_stats = { hits : int; misses : int }
+
 (** Incremental-grounding statistics: how much serving work ran as
-    delta-grounding over a cached core rather than full regrounds. *)
+    delta grounds of context facts against compiled cores. *)
 type delta_stats = {
-  delta_grounds : int;  (** delta grounds performed (core reused) *)
-  delta_facts : int;  (** context facts delta-grounded, instantiated *)
+  delta_grounds : int;
+      (** tree checks under a non-empty ground-fact context *)
+  delta_facts : int;  (** context facts instantiated at node traces *)
   delta_rules : int;  (** ground rules the deltas added *)
-  fallbacks : int;  (** rule-bearing contexts, full core freeze *)
+  fallbacks : int;  (** requests with a rule-bearing context *)
 }
 
 type stats = {
   decisions : tier_stats;
-  grounds : tier_stats;
+  grounds : ground_stats;
   delta : delta_stats;
 }
 
 (** [hits / (hits + misses)]; 0 before any lookup. *)
 val hit_rate : tier_stats -> float
+
+(** The same rate for the ground tier. *)
+val ground_hit_rate : ground_stats -> float
 
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -235,16 +232,14 @@ val config : t -> Config.t
 
 (** Swap the served model (e.g. after the PAdaP adapts). A version
     change clears the decision memo — the explicit invalidation backing
-    the version-keyed one — and keeps the ground cache, whose
-    fingerprint keys are model-independent. *)
+    the version-keyed one. The new model value brings its own compiled
+    view. *)
 val set_gpm : t -> Asg.Gpm.t -> unit
 
-(** Drop both cache tiers (statistics survive). *)
-val invalidate : t -> unit
-
-(** Serve one request through the caches. Thread-safe: the engine may be
-    shared across pool domains (cache state affects only speed, never
-    the decision). @raise No_options on an empty options list. *)
+(** Serve one request through the memo and the model's compiled view.
+    Thread-safe: the engine may be shared across pool domains (cache
+    state affects only speed, never the decision).
+    @raise No_options on an empty options list. *)
 val decide : t -> Request.t -> Response.t
 
 (** The decision rule every path shares: the first of [options] that
@@ -272,23 +267,24 @@ val audit : t -> Audit.t option
     appears in [Obs.report]. *)
 val slo : t -> Obs.Slo.t option
 
-(** One JSON object (schema [serve-stats/4]):
-    [{"schema", "gpm_version", "requests", "decision_cache": tier,
-    "ground_cache": tier, "delta": {"grounds", "facts", "rules_added",
-    "fallbacks"}, "audit": {"capacity", "retained", "total"} or null,
-    "health": {"signals": [{"signal", "observations", "positives",
-    "rate", "overall_rate", "alarms"}], "events"}}]
-    with [tier = {"hits", "misses", "evictions", "collisions",
-    "entries", "capacity", "hit_rate"}]. The health section reports
-    every {!Obs.Health} signal with observations (process-wide — the
+(** One JSON object (schema [serve-stats/5]):
+    [{"schema", "gpm_version", "requests", "decision_cache": {"hits",
+    "misses", "evictions", "collisions", "entries", "capacity",
+    "hit_rate"}, "ground_cache": {"hits", "misses", "hit_rate"},
+    "delta": {"grounds", "facts", "rules_added", "fallbacks"}, "audit":
+    {"capacity", "retained", "total"} or null, "health": {"signals":
+    [{"signal", "observations", "positives", "rate", "overall_rate",
+    "alarms"}], "events"}}]. The health section reports every
+    {!Obs.Health} signal with observations (process-wide — the
     policy-health plane is global, not per-engine) plus the total
     health-event count. The machine-readable face of {!pp_stats}. *)
 val stats_to_json : t -> string
 
 (** The OpenMetrics exposition for this engine:
-    {!Obs.Openmetrics.render} extended with per-tier gauges
-    ([agenp_serve_cache_entries]/[_capacity]/[_hit_rate]/
-    [_collisions], labeled [tier="decision"|"ground"]). This is what a
+    {!Obs.Openmetrics.render} extended with the memo's gauges
+    ([agenp_serve_cache_entries]/[_capacity]/[_hit_rate]/[_collisions],
+    labeled [tier="decision"]) and the ground tier's
+    [agenp_serve_cache_hit_rate{tier="ground"}]. This is what a
     {!Metrics} server should render. *)
 val openmetrics : t -> string
 
@@ -328,7 +324,7 @@ module Shard : sig
 
   val tenant : t -> string
 
-  (** The shard's private engine — its memo, ground cache, and GPM
+  (** The shard's private engine — its memo, statistics and GPM
       version stamp belong to this tenant alone. *)
   val engine : t -> engine
 
@@ -338,29 +334,23 @@ module Shard : sig
 end
 
 module Cluster : sig
-  (** The sharded multi-tenant serve plane: one {!Shard} per tenant
-      behind a bounded ingestion queue with explicit backpressure and
-      in-flight coalescing. See the module preamble for the design. *)
+  (** The multi-tenant router: one {!Shard} per tenant, with requests
+      served in coalescing windows. See the module preamble for the
+      design. *)
 
   type t
 
   type reject_reason =
-    | Queue_full  (** the bounded ingestion queue is at capacity *)
     | Unknown_tenant  (** no shard owns the request's tenant id *)
 
   val reject_reason_to_string : reject_reason -> string
 
-  (** What became of a submitted request. Rejection is the explicit
-      backpressure signal — the caller decides whether to retry, shed,
-      or fall back to {!decide_uncached}. *)
+  (** What became of a routed request. *)
   type outcome = Served of Response.t | Rejected of reject_reason
 
-  type ticket
-  (** A claim on a submitted request's eventual outcome. *)
-
   (** A cluster with one shard per [(tenant, gpm)] pair, every shard
-      configured with [config]. [queue_depth] bounds the ingestion
-      queue (default 64). @raise Invalid_argument on an empty or
+      configured with [config]. [queue_depth] is the window size of
+      {!run} (default 64). @raise Invalid_argument on an empty or
       duplicate tenant list, or [queue_depth < 1]. *)
   val create :
     ?config:Config.t ->
@@ -372,66 +362,46 @@ module Cluster : sig
   val tenants : t -> string list
   val shard : t -> string -> Shard.t option
   val shards : t -> Shard.t list
+
+  (** The window size of {!run}. *)
   val queue_depth : t -> int
 
-  (** Requests currently queued, not yet drained. *)
-  val queue_length : t -> int
-
   (** Swap one tenant's model. Touches only that tenant's shard: no
-      other shard's memo, ground cache, or version stamp is affected.
+      other shard's memo or version stamp is affected.
       @raise Invalid_argument on an unknown tenant. *)
   val set_gpm : t -> tenant:string -> Asg.Gpm.t -> unit
 
-  (** Enqueue a request. Returns immediately: the ticket resolves
-      after a {!drain}, except on rejection — an unknown tenant or a
-      full queue resolves the ticket to [Rejected] on the spot. Each
-      accepted request is assigned its child trace ID at submission. *)
-  val submit : t -> Request.t -> ticket
-
-  (** The outcome, if resolved. *)
-  val poll : ticket -> outcome option
-
-  (** Serve everything queued: identical (tenant, context, options)
-      submissions are coalesced into one computation (context equality
-      confirmed structurally, not just by fingerprint) and the
-      distinct work is fanned across [pool] (default
-      {!Par.Config.pool}). Returns the number of requests fulfilled,
-      coalesced duplicates included. *)
-  val drain : ?pool:Par.t -> t -> int
-
-  (** The ticket's outcome, draining this cluster first if it is still
-      pending. *)
-  val await : ?pool:Par.t -> t -> ticket -> outcome
-
-  (** The synchronous routed path: serve one request on its tenant's
-      shard, bypassing the queue (never [Queue_full]; still
-      [Rejected Unknown_tenant] for an unowned tenant id). This is
-      what [Pdp.decide] uses through a cluster target. *)
+  (** Serve one request on its tenant's shard, or [Rejected
+      Unknown_tenant] for an unowned tenant id. This is what
+      [Pdp.decide] uses through a cluster target. *)
   val decide : t -> Request.t -> outcome
 
-  (** Flow-controlled convenience over submit/drain: submits the whole
-      stream, draining whenever the queue fills, and returns outcomes
-      in input order. Unlike raw {!submit}, never rejects for queue
-      pressure — only unknown tenants are rejected. *)
+  (** Serve a stream and return outcomes in input order. Unknown
+      tenants are rejected; the rest are cut, in stream order, into
+      consecutive windows of {!queue_depth} requests. Each request gets
+      its own child trace ID of the run's trace. Within a window,
+      identical (tenant, context, options) requests are coalesced into
+      one computation (context equality confirmed structurally, not
+      just by fingerprint) and share its response; the distinct work is
+      fanned across [pool] (default {!Par.Config.pool}). *)
   val run : ?pool:Par.t -> t -> Request.t list -> outcome list
 
   (** Duplicate requests answered from a coalesced computation. *)
   val coalesced : t -> int
 
-  (** Requests rejected (queue full or unknown tenant). *)
+  (** Requests rejected for an unknown tenant. *)
   val rejected : t -> int
-
-  (** Requests accepted into the queue since creation. *)
-  val submitted : t -> int
 
   (** Per-tenant engine statistics, in tenant declaration order. *)
   val stats : t -> (string * stats) list
 
   (** The cluster-wide OpenMetrics exposition: per-shard gauges
-      ([agenp_serve_shard_cache_entries]/[_hit_rate]/[_collisions]
-      labeled by tenant and tier, [agenp_serve_shard_requests] per
-      tenant) plus queue gauges; the [serve.cluster.coalesced] and
-      [serve.cluster.rejected] counters render with every other
+      ([agenp_serve_shard_requests] per tenant,
+      [agenp_serve_shard_cache_entries]/[_hit_rate]/[_collisions]
+      labeled [tier="decision"] and [_hit_rate] labeled [tier="ground"],
+      each with its tenant) plus the window size
+      ([agenp_serve_cluster_queue_depth]); the [serve.cluster.coalesced]
+      and [serve.cluster.rejected] counters render with every other
       registered metric. *)
   val openmetrics : t -> string
 end

@@ -211,6 +211,44 @@ let test_ambiguous_membership () =
   Alcotest.(check bool) "one good tree suffices" true
     (Asg.Membership.accepts g "x")
 
+(* A tally only counts. Under "bad." both parse trees of "x" are
+   decided and rejected, so each counts once; the first ask compiles
+   both cores and a second ask of the same value compiles none. A
+   context with proper rules is decided from scratch and leaves the
+   tally at zero. Every answer equals the tally-free one. *)
+let test_membership_tally () =
+  let g =
+    Asg.Asg_parser.parse
+      {| s -> a { :- bad@1. }
+         a -> "x" b { bad. } | "x" c { }
+         b -> { }
+         c -> { } |}
+  in
+  let ask ?tally ctx =
+    Asg.Membership.accepts_in_context ?tally g ~context:(parse_ctx ctx) "x"
+  in
+  let first = Asg.Membership.tally () in
+  Alcotest.(check bool) "rejected under bad" false (ask ~tally:first "bad.");
+  Alcotest.(check int) "one count per tree decided" 2 first.trees;
+  Alcotest.(check int) "first ask compiles both cores" 2 first.compiles;
+  Alcotest.(check bool) "facts instantiated" true (first.facts > 0);
+  Alcotest.(check bool) "same answer without a tally" false (ask "bad.");
+  let second = Asg.Membership.tally () in
+  ignore (ask ~tally:second "bad.");
+  Alcotest.(check int) "second ask decides both trees" 2 second.trees;
+  Alcotest.(check int) "second ask compiles nothing" 0 second.compiles;
+  let empty = Asg.Membership.tally () in
+  Alcotest.(check bool) "accepted in the empty context" (ask "")
+    (ask ~tally:empty "");
+  Alcotest.(check bool) "the empty context compiles nothing" true
+    (empty.trees > 0 && empty.compiles = 0);
+  let rules = "bad :- trigger. trigger." in
+  let untouched = Asg.Membership.tally () in
+  Alcotest.(check bool) "rule context answers as without a tally"
+    (ask rules) (ask ~tally:untouched rules);
+  Alcotest.(check bool) "rule context leaves the tally at zero" true
+    (untouched = Asg.Membership.tally ())
+
 let test_context_copies_at_depth () =
   (* context facts materialize at every node; a deep annotation can read
      its own copy *)
@@ -320,6 +358,7 @@ let () =
           Alcotest.test_case "shared annotation" `Quick test_shared_annotation_exposed;
           Alcotest.test_case "compiled view per value" `Quick
             test_compiled_view_per_value;
+          Alcotest.test_case "membership tally" `Quick test_membership_tally;
         ] );
       ("properties", qcheck_cases);
     ]

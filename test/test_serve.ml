@@ -1,7 +1,8 @@
 (* Tests for the decision-serving layer: the LRU eviction policy, the
-   typed No_options error, cache provenance and invalidation, the
-   cached-equals-uncached differential property, and batch determinism
-   across pool sizes. *)
+   typed No_options error, cache provenance and the model's shared
+   compiled view, the cached-equals-uncached differential property,
+   batch determinism across pool sizes, the ops plane, and the
+   multi-tenant router. *)
 
 (* ---- fixtures --------------------------------------------------------- *)
 
@@ -111,7 +112,7 @@ let test_no_options () =
   Alcotest.check_raises "pdp" Agenp.Pdp.No_options (fun () ->
       ignore (Agenp.Pdp.decide gpm ~context:sun ~options:[]))
 
-(* ---- provenance and invalidation -------------------------------------- *)
+(* ---- provenance and the compiled view --------------------------------- *)
 
 let prov = function
   | Serve.Cold -> "cold"
@@ -129,8 +130,8 @@ let test_provenance () =
   Alcotest.(check string) "second is memo" "memo" (prov r2.Serve.Response.provenance);
   Alcotest.check decision_t "identical decision" r1.Serve.Response.decision
     r2.Serve.Response.decision;
-  (* a different options list misses the memo but reuses the ground
-     programs induced for the shared options *)
+  (* a different options list misses the memo but reuses the cores
+     compiled for the shared options *)
   let r3 = Serve.decide engine (request snow [ "accept" ]) in
   Alcotest.(check string) "ground tier hit" "ground"
     (prov r3.Serve.Response.provenance);
@@ -140,14 +141,22 @@ let test_provenance () =
   Alcotest.(check bool) "memo hits counted" true
     (st.Serve.decisions.Serve.hits > 0);
   Alcotest.(check bool) "ground hits counted" true
-    (st.Serve.grounds.Serve.hits > 0);
-  (* invalidate drops both tiers: the same request is cold again *)
-  Serve.invalidate engine;
-  let r4 = Serve.decide engine req in
-  Alcotest.(check string) "cold after invalidate" "cold"
-    (prov r4.Serve.Response.provenance);
-  Alcotest.check decision_t "still the same decision" r1.Serve.Response.decision
-    r4.Serve.Response.decision
+    (st.Serve.grounds.Serve.hits > 0)
+
+(* the engine decides on the model value's compiled view, so cores the
+   engine-free PDP compiled serve the engine's first request *)
+let test_shared_compiled_view () =
+  let gpm = gpm_of snow_grammar in
+  let options = [ "accept"; "reject" ] in
+  let pdp = Agenp.Pdp.decide gpm ~context:snow ~options in
+  let engine = Serve.create gpm in
+  let r = Serve.decide engine (request snow options) in
+  Alcotest.(check string) "first request reads ground" "ground"
+    (prov r.Serve.Response.provenance);
+  Alcotest.check decision_t "the PDP's decision" pdp r.Serve.Response.decision;
+  let st = Serve.stats engine in
+  Alcotest.(check int) "nothing compiled" 0 st.Serve.grounds.Serve.misses;
+  Alcotest.(check bool) "trees decided" true (st.Serve.grounds.Serve.hits > 0)
 
 let test_set_gpm_invalidates () =
   let g_snow = gpm_of snow_grammar in
@@ -169,16 +178,16 @@ let test_set_gpm_invalidates () =
 
 (* ---- the differential property ---------------------------------------- *)
 
-(* Random op sequences against one engine with deliberately tiny caches
+(* Random op sequences against one engine with a deliberately tiny memo
    (so evictions happen constantly), with every decision checked against
    the cache-free reference on the same model. Ops: decide on a random
-   (context, options), swap the served model, drop the caches. *)
+   (context, options), swap the served model. *)
 let differential_prop =
   let models =
     [| gpm_of snow_grammar; gpm_of sun_only_grammar; gpm_of free_grammar |]
   in
-  (* the last three carry proper rules, so they take the engine's
-     rule-bearing-context path instead of the delta ground *)
+  (* the last three carry proper rules, so they are decided from scratch
+     instead of by a delta ground on the compiled view *)
   let contexts =
     [|
       snow;
@@ -203,7 +212,6 @@ let differential_prop =
               (int_bound (Array.length contexts - 1))
               (int_bound (Array.length option_sets - 1)) );
           (1, map (fun m -> `Set_gpm m) (int_bound (Array.length models - 1)));
-          (1, return `Invalidate);
         ])
   in
   QCheck2.Test.make ~name:"cached decisions = uncached, under churn" ~count:40
@@ -214,8 +222,7 @@ let differential_prop =
           ~config:
             {
               Serve.Config.default with
-              Serve.Config.caching =
-                { Serve.Config.decision_cache = 4; ground_cache = 4 };
+              Serve.Config.caching = { Serve.Config.decision_cache = 4 };
             }
           models.(0)
       in
@@ -224,9 +231,6 @@ let differential_prop =
           match op with
           | `Set_gpm m ->
             Serve.set_gpm engine models.(m);
-            true
-          | `Invalidate ->
-            Serve.invalidate engine;
             true
           | `Decide (c, o) ->
             let req = request contexts.(c) option_sets.(o) in
@@ -356,8 +360,8 @@ let test_audit_records_decisions () =
       (Asp.Program.fingerprint snow) r.Serve.Audit.context_fp;
     Alcotest.(check string) "provenance recorded" "cold"
       r.Serve.Audit.provenance;
-    (* a cold decision missed the ground cache at least once; the
-       per-request counts land in the audit record *)
+    (* a cold decision compiled at least one core; the per-request
+       counts land in the audit record *)
     Alcotest.(check bool) "ground misses recorded" true
       (r.Serve.Audit.ground_misses > 0)
 
@@ -464,7 +468,7 @@ let test_stats_json () =
   ignore (Serve.decide engine req);
   ignore (Serve.decide engine req);
   let j = Obs.Json.parse (Serve.stats_to_json engine) in
-  Alcotest.(check string) "schema" "serve-stats/4"
+  Alcotest.(check string) "schema" "serve-stats/5"
     Obs.Json.(to_str (member "schema" j));
   Alcotest.(check (float 1e-9)) "requests" 2.0
     Obs.Json.(to_num (member "requests" j));
@@ -473,14 +477,16 @@ let test_stats_json () =
     Obs.Json.(to_num (member "hits" d));
   Alcotest.(check (float 1e-9)) "memo hit rate" 0.5
     Obs.Json.(to_num (member "hit_rate" d));
-  Alcotest.(check (float 1e-9)) "ground capacity" 512.0
-    Obs.Json.(to_num (member "capacity" (member "ground_cache" j)));
-  (* serve-stats/4: collisions are their own field, not folded into
-     evictions *)
+  (* collisions are their own field, not folded into evictions *)
   Alcotest.(check (float 1e-9)) "no memo collisions" 0.0
     Obs.Json.(to_num (member "collisions" d));
-  Alcotest.(check (float 1e-9)) "no ground collisions" 0.0
-    Obs.Json.(to_num (member "collisions" (member "ground_cache" j)));
+  (* serve-stats/5: the ground tier is a view with no capacity, so it
+     reports lookups only *)
+  let g = Obs.Json.member "ground_cache" j in
+  Alcotest.(check (float 1e-9)) "one core compiled per option" 2.0
+    Obs.Json.(to_num (member "misses" g));
+  Alcotest.(check bool) "no ground capacity" true
+    (Obs.Json.member_opt "capacity" g = None);
   (* the snow context is fact-only, so the one cold decision ran as
      delta grounds over frozen cores, never a fallback *)
   let delta = Obs.Json.member "delta" j in
@@ -492,7 +498,7 @@ let test_stats_json () =
     Obs.Json.(to_num (member "fallbacks" delta));
   Alcotest.(check (float 1e-9)) "audit retained" 2.0
     Obs.Json.(to_num (member "retained" (member "audit" j)));
-  (* the serve-stats/4 health section: the process-wide signal list and
+  (* the health section: the process-wide signal list and
      the total event count are always present *)
   let health = Obs.Json.member "health" j in
   Alcotest.(check bool) "health signals is a list" true
@@ -517,10 +523,12 @@ let test_audit_disabled () =
     (Obs.Json.member "audit" j = Obs.Json.Null)
 
 (* a live scrape: start the exposition server on an ephemeral port,
-   fetch /metrics over a raw socket, and check the document shape *)
-let http_get ~port path =
+   fetch /metrics over a raw socket, and check the document shape; with
+   [timeout], a read that waits longer raises instead of blocking *)
+let http_get ?timeout ~port path =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  Option.iter (Unix.setsockopt_float sock Unix.SO_RCVTIMEO) timeout;
   Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" path in
   ignore (Unix.write_substring sock req 0 (String.length req));
@@ -564,7 +572,7 @@ let test_metrics_scrape () =
       "agenp_serve_decide_seconds{quantile=\"0.5\"}";
       "agenp_serve_decide_window_count";
       "agenp_serve_cache_hit_rate{tier=\"decision\"}";
-      "agenp_serve_cache_entries{tier=\"ground\"}";
+      "agenp_serve_cache_hit_rate{tier=\"ground\"}";
       "# EOF";
     ];
   (* consecutive scrapes work (connection-per-request) and other paths
@@ -573,6 +581,41 @@ let test_metrics_scrape () =
     (contains (http_get ~port "/metrics") "# EOF");
   Alcotest.(check bool) "404 elsewhere" true
     (contains (http_get ~port "/nope") "404")
+
+(* a client that connects and never sends its request must not wedge
+   the server: the next scrape is answered and [stop] returns, each
+   within a client-side bound so a wedged server fails the test instead
+   of hanging it *)
+let test_metrics_silent_client () =
+  let server = Serve.Metrics.start ~port:0 ~render:(fun () -> "# EOF\n") () in
+  let port = Serve.Metrics.port server in
+  let silent = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect silent (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let scraped =
+    match http_get ~timeout:3.0 ~port "/metrics" with
+    | resp -> contains resp "# EOF"
+    | exception Unix.Unix_error _ -> false
+  in
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Serve.Metrics.stop server;
+        Atomic.set stopped true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let stopped_in_time = Atomic.get stopped in
+  (* closing the silent client releases a wedged server, so the join
+     returns either way *)
+  Unix.close silent;
+  Thread.join stopper;
+  Alcotest.(check bool) "scrape answered past a silent client" true scraped;
+  Alcotest.(check bool) "stop returns past a silent client" true
+    stopped_in_time
 
 (* ---- the multi-tenant cluster ----------------------------------------- *)
 
@@ -600,75 +643,42 @@ let test_cluster_create_validation () =
     (fun () ->
       ignore (Serve.Cluster.create ~queue_depth:0 ~tenants:[ ("a", gpm) ] ()))
 
-(* an unowned tenant id is rejected on the spot, on both the queued and
-   the synchronous path *)
+(* an unowned tenant id is rejected on both the streamed and the
+   synchronous path; the rest of the stream is still served *)
 let test_cluster_unknown_tenant () =
   let cluster =
     Serve.Cluster.create ~tenants:[ ("a", gpm_of free_grammar) ] ()
   in
   let req = treq "ghost" snow [ "accept"; "reject" ] in
-  (match Serve.Cluster.poll (Serve.Cluster.submit cluster req) with
-  | Some (Serve.Cluster.Rejected Serve.Cluster.Unknown_tenant) -> ()
-  | _ -> Alcotest.fail "submit should resolve to Rejected Unknown_tenant");
+  (match Serve.Cluster.run cluster [ req; treq "a" snow [ "accept" ] ] with
+  | [ Serve.Cluster.Rejected Serve.Cluster.Unknown_tenant;
+      Serve.Cluster.Served r ] ->
+    Alcotest.(check string) "known tenant served" "a" r.Serve.Response.shard
+  | _ -> Alcotest.fail "run should reject only the unknown tenant");
   (match Serve.Cluster.decide cluster req with
   | Serve.Cluster.Rejected Serve.Cluster.Unknown_tenant -> ()
   | _ -> Alcotest.fail "decide should reject an unknown tenant");
-  Alcotest.(check int) "rejections counted" 2 (Serve.Cluster.rejected cluster);
-  Alcotest.(check int) "nothing queued" 0 (Serve.Cluster.queue_length cluster)
+  Alcotest.(check int) "rejections counted" 2 (Serve.Cluster.rejected cluster)
 
-(* a full queue answers Rejected Queue_full immediately; what was
-   accepted still drains to served outcomes *)
-let test_cluster_backpressure () =
-  let cluster =
-    Serve.Cluster.create ~queue_depth:2
-      ~tenants:[ ("a", gpm_of snow_grammar) ]
-      ()
-  in
-  let req = treq "a" snow [ "accept"; "reject" ] in
-  let accepted = [ Serve.Cluster.submit cluster req;
-                   Serve.Cluster.submit cluster req ] in
-  let overflow = [ Serve.Cluster.submit cluster req;
-                   Serve.Cluster.submit cluster req ] in
-  List.iter
-    (fun tk ->
-      match Serve.Cluster.poll tk with
-      | Some (Serve.Cluster.Rejected Serve.Cluster.Queue_full) -> ()
-      | _ -> Alcotest.fail "overflow must reject immediately")
-    overflow;
-  List.iter
-    (fun tk ->
-      Alcotest.(check bool) "accepted still pending" true
-        (Serve.Cluster.poll tk = None))
-    accepted;
-  Alcotest.(check int) "queue at capacity" 2
-    (Serve.Cluster.queue_length cluster);
-  Alcotest.(check int) "drained" 2 (Serve.Cluster.drain cluster);
-  List.iter
-    (fun tk ->
-      let r = served_exn (Serve.Cluster.await cluster tk) in
-      Alcotest.(check string) "snow rejects" "reject"
-        r.Serve.Response.decision.Serve.Decision.chosen;
-      Alcotest.(check string) "shard provenance" "a" r.Serve.Response.shard)
-    accepted;
-  Alcotest.(check int) "rejections counted" 2 (Serve.Cluster.rejected cluster);
-  Alcotest.(check int) "submissions counted" 2
-    (Serve.Cluster.submitted cluster)
-
-(* identical (tenant, context, options) submissions in one drain window
-   resolve from a single computation; distinct tenants never coalesce *)
+(* identical (tenant, context, options) requests in one window resolve
+   from a single computation; distinct tenants never coalesce, and
+   neither do requests in different windows *)
 let test_cluster_coalescing () =
   let gpm = gpm_of snow_grammar in
   let cluster = Serve.Cluster.create ~tenants:[ ("a", gpm); ("b", gpm) ] () in
-  let submit tenant = Serve.Cluster.submit cluster (treq tenant snow [ "accept"; "reject" ]) in
-  let a_tks = List.init 3 (fun _ -> submit "a") in
-  let b_tk = submit "b" in
-  ignore (Serve.Cluster.drain cluster);
-  (* 3 identical "a" submissions -> 1 computation; "b" is a different
+  let req tenant = treq tenant snow [ "accept"; "reject" ] in
+  let a_rs, b_r =
+    match
+      List.map served_exn
+        (Serve.Cluster.run cluster [ req "a"; req "a"; req "a"; req "b" ])
+    with
+    | [ a1; a2; a3; b ] -> ([ a1; a2; a3 ], b)
+    | _ -> Alcotest.fail "one outcome per request"
+  in
+  (* 3 identical "a" requests -> 1 computation; "b" is a different
      tenant so it computes on its own shard *)
   Alcotest.(check int) "two duplicates coalesced" 2
     (Serve.Cluster.coalesced cluster);
-  let a_rs = List.map (fun tk -> served_exn (Serve.Cluster.await cluster tk)) a_tks in
-  let b_r = served_exn (Serve.Cluster.await cluster b_tk) in
   let first = List.hd a_rs in
   List.iter
     (fun (r : Serve.Response.t) ->
@@ -681,13 +691,18 @@ let test_cluster_coalescing () =
     (b_r.Serve.Response.trace_id <> first.Serve.Response.trace_id);
   Alcotest.(check string) "b's shard" "b" b_r.Serve.Response.shard;
   (* only a's shard holds a's memo entry *)
-  match Serve.Cluster.stats cluster with
+  (match Serve.Cluster.stats cluster with
   | [ ("a", a_st); ("b", b_st) ] ->
     Alcotest.(check int) "one memo entry per shard" 1
       a_st.Serve.decisions.Serve.entries;
     Alcotest.(check int) "b has its own entry" 1
       b_st.Serve.decisions.Serve.entries
-  | _ -> Alcotest.fail "stats must list tenants in declaration order"
+  | _ -> Alcotest.fail "stats must list tenants in declaration order");
+  (* windows of 2: the third duplicate opens a window of its own *)
+  let windowed = Serve.Cluster.create ~queue_depth:2 ~tenants:[ ("a", gpm) ] () in
+  ignore (Serve.Cluster.run windowed [ req "a"; req "a"; req "a" ]);
+  Alcotest.(check int) "coalesced within a window only" 1
+    (Serve.Cluster.coalesced windowed)
 
 (* swapping one tenant's model touches only that shard: the other
    tenant's memo entries survive and still hit *)
@@ -719,12 +734,14 @@ let test_cluster_isolated_invalidation () =
     (fun () -> Serve.Cluster.set_gpm cluster ~tenant:"ghost" g_snow)
 
 (* the tenant-isolation differential: random multi-tenant streams over
-   shards running *different* models must, at every pool size, return
-   exactly what each tenant's own model returns uncached — shard state
-   never leaks across tenants, and outcomes never depend on domains *)
+   shards running different models — and t3 sharing t0's model value,
+   so its compiled view — must, at every pool size, return exactly what
+   each tenant's own model returns uncached: shard state never leaks
+   across tenants, and outcomes never depend on domains *)
 let cluster_differential_prop =
   let grammars = [| snow_grammar; sun_only_grammar; free_grammar |] in
-  let tenant_names = [| "t0"; "t1"; "t2" |] in
+  let tenant_names = [| "t0"; "t1"; "t2"; "t3" |] in
+  let tenant_model = [| 0; 1; 2; 0 |] in
   let contexts = [| snow; sun; fog; Asp.Program.empty |] in
   let option_sets =
     [| [ "accept"; "reject" ]; [ "reject"; "accept" ]; [ "accept" ] |]
@@ -753,7 +770,7 @@ let cluster_differential_prop =
       let reference =
         List.map
           (fun (t, c, o) ->
-            Serve.decide_uncached models.(t)
+            Serve.decide_uncached models.(tenant_model.(t))
               (request contexts.(c) option_sets.(o)))
           stream
       in
@@ -764,7 +781,9 @@ let cluster_differential_prop =
             Serve.Cluster.create ~queue_depth:4
               ~tenants:
                 (Array.to_list
-                   (Array.map2 (fun n m -> (n, m)) tenant_names models))
+                   (Array.map2
+                      (fun n m -> (n, models.(m)))
+                      tenant_names tenant_model))
               ()
           in
           let outcomes = Serve.Cluster.run ~pool cluster reqs in
@@ -835,6 +854,8 @@ let () =
         [
           Alcotest.test_case "no options" `Quick test_no_options;
           Alcotest.test_case "provenance" `Quick test_provenance;
+          Alcotest.test_case "shared compiled view" `Quick
+            test_shared_compiled_view;
           Alcotest.test_case "set_gpm invalidates" `Quick test_set_gpm_invalidates;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest differential_prop ]);
@@ -857,6 +878,8 @@ let () =
           Alcotest.test_case "stats JSON" `Quick test_stats_json;
           Alcotest.test_case "audit disabled" `Quick test_audit_disabled;
           Alcotest.test_case "live /metrics scrape" `Quick test_metrics_scrape;
+          Alcotest.test_case "silent /metrics client" `Quick
+            test_metrics_silent_client;
         ] );
       ( "cluster",
         [
@@ -864,7 +887,6 @@ let () =
             test_cluster_create_validation;
           Alcotest.test_case "unknown tenant" `Quick
             test_cluster_unknown_tenant;
-          Alcotest.test_case "backpressure" `Quick test_cluster_backpressure;
           Alcotest.test_case "coalescing" `Quick test_cluster_coalescing;
           Alcotest.test_case "isolated invalidation" `Quick
             test_cluster_isolated_invalidation;
