@@ -1005,12 +1005,72 @@ let serve_requests ~n ~seed () : Serve.Request.t list =
            ~options:[ "permit"; "deny" ]
            ())
 
+(* The served model's hypothesis, learned once from a fixed XACML log
+   (perfbench's tenant-stream learns its tenants the same way), so the
+   served decisions vary with the request and the model reads the
+   attributes its constraints name. *)
+let serve_hypothesis =
+  lazy
+    (let space =
+       Ilp.Hypothesis_space.generate (Workloads.Xacml_logs.modes ())
+     in
+     let examples =
+       Policy.Xacml.examples_of_log
+         (Workloads.Xacml_logs.log ~seed:1000 ~n:200 ())
+     in
+     match
+       Ilp.Learner.learn
+         (Ilp.Task.make ~gpm:(Workloads.Xacml_logs.gpm ()) ~space ~examples)
+     with
+     | Some o -> o.Ilp.Learner.hypothesis
+     | None -> failwith "serve model: learning task unsatisfiable")
+
+(** The model the serve experiments serve: a new value on every call, so
+    each experiment starts with an empty compiled view. *)
+let serve_model () : Asg.Gpm.t =
+  Ilp.Task.apply_hypothesis (Workloads.Xacml_logs.gpm ())
+    (Lazy.force serve_hypothesis)
+
+(* serve [reqs] cold: each request on an engine that has served nothing,
+   created before the clock starts, so every request misses the memo
+   and decides on the model's compiled view. Returns the decisions, the
+   seconds and the summed delta counts. *)
+let serve_cold gpm (reqs : Serve.Request.t list) =
+  let engines = List.map (fun _ -> Serve.create gpm) reqs in
+  let t0 = Obs.now () in
+  let decisions =
+    List.map2
+      (fun e r -> (Serve.decide e r).Serve.Response.decision)
+      engines reqs
+  in
+  let t = Obs.now () -. t0 in
+  let delta =
+    List.fold_left
+      (fun (acc : Serve.delta_stats) e ->
+        let d = (Serve.stats e).Serve.delta in
+        {
+          Serve.delta_grounds = acc.delta_grounds + d.Serve.delta_grounds;
+          delta_facts = acc.delta_facts + d.Serve.delta_facts;
+          delta_rules = acc.delta_rules + d.Serve.delta_rules;
+          fallbacks = acc.fallbacks + d.Serve.fallbacks;
+        })
+      { Serve.delta_grounds = 0; delta_facts = 0; delta_rules = 0; fallbacks = 0 }
+      engines
+  in
+  (decisions, t, delta)
+
+(* ns per delta ground of a cold pass; [None] when the pass did no delta
+   ground, which leaves the figure undefined *)
+let ns_per_ground seconds (d : Serve.delta_stats) =
+  if d.Serve.delta_grounds = 0 then None
+  else Some (seconds *. 1e9 /. float_of_int d.Serve.delta_grounds)
+
 (** The gate's quick form of the serve differential: cached decisions
     must be bit-identical to the uncached reference on a small XACML
     workload, and the second pass must actually hit the memo. Returns
     (identical, decision-cache hit rate, ground-cache hit rate). *)
 let serve_cached_identical () : bool * float * float =
-  let gpm = Workloads.Xacml_logs.gpm () in
+  let gpm = serve_model () in
   let reqs = serve_requests ~n:12 ~seed:7 () in
   let uncached = List.map (Serve.decide_uncached gpm) reqs in
   let engine = Serve.create gpm in
@@ -1031,22 +1091,8 @@ let serve_cached_identical () : bool * float * float =
 let serve ~quick () =
   section "SERVE  Decision serving: uncached vs cold vs warm vs batched";
   let n = if quick then 30 else 120 in
-  let gpm = Workloads.Xacml_logs.gpm () in
+  let gpm = serve_model () in
   let reqs = serve_requests ~n ~seed:5 () in
-  (* the cold workload: every context made unique by an inert sequence
-     fact, so the decision memo can never hit and each request exercises
-     the compiled view — parse-tree reuse, compiled-core hit, per-request
-     delta grounding *)
-  let distinct_reqs =
-    List.mapi
-      (fun i (r : Serve.Request.t) ->
-        Serve.Request.make
-          ~context:
-            (Asp.Program.with_facts r.Serve.Request.context
-               [ Asp.Atom.make "req_seq" [ Asp.Term.int i ] ])
-          ~options:r.Serve.Request.options ())
-      reqs
-  in
   let time f =
     let t0 = Obs.now () in
     let r = f () in
@@ -1057,17 +1103,10 @@ let serve ~quick () =
   let uncached, uncached_t =
     time (fun () -> List.map (Serve.decide_uncached gpm) reqs)
   in
-  (* cold: a fresh engine over the distinct contexts — no request ever
-     repeats, so this is the hot path the incremental grounder serves:
-     memo misses, compiled-core hits, delta grounds *)
-  let cold_engine = Serve.create gpm in
-  let cold, cold_t =
-    time (fun () ->
-        List.map
-          (fun r -> (Serve.decide cold_engine r).Serve.Response.decision)
-          distinct_reqs)
-  in
-  let cold_reference = List.map (Serve.decide_uncached gpm) distinct_reqs in
+  (* cold: each request on an engine that has served nothing, so this is
+     the path the compiled view serves: memo misses, compiled-core hits,
+     delta grounds *)
+  let cold, cold_t, delta = serve_cold gpm reqs in
   (* engine: the first pass fills both tiers, the second is the warm
      measurement (every request repeats, so it is all memo hits) *)
   let engine = Serve.create gpm in
@@ -1087,16 +1126,12 @@ let serve ~quick () =
     List.for_all2 Serve.Decision.equal uncached fill
     && List.for_all2 Serve.Decision.equal uncached warm
     && List.for_all2 Serve.Decision.equal uncached batch
-    && List.for_all2 Serve.Decision.equal cold_reference cold
+    && List.for_all2 Serve.Decision.equal uncached cold
   in
   let st = Serve.stats engine in
-  let cold_st = Serve.stats cold_engine in
   let per_req t = t /. float_of_int n *. 1e9 in
   let speedup t = uncached_t /. (t +. 1e-12) in
-  let delta = cold_st.Serve.delta in
-  let ns_per_ground =
-    cold_t *. 1e9 /. float_of_int (max 1 delta.Serve.delta_grounds)
-  in
+  let ns_per_ground = ns_per_ground cold_t delta in
   Fmt.pr "%-10s %-12s %-14s %s@." "mode" "seconds" "ns/request" "speedup";
   List.iter
     (fun (mode, t) ->
@@ -1114,9 +1149,12 @@ let serve ~quick () =
     (Serve.ground_hit_rate st.Serve.grounds);
   Fmt.pr
     "cold-path delta: %d ground(s), %d fact(s), %d rule(s) added, %d \
-     fallback(s), %.0f ns/ground@."
+     fallback(s), %s@."
     delta.Serve.delta_grounds delta.Serve.delta_facts
-    delta.Serve.delta_rules delta.Serve.fallbacks ns_per_ground;
+    delta.Serve.delta_rules delta.Serve.fallbacks
+    (match ns_per_ground with
+    | Some ns -> Printf.sprintf "%.0f ns/ground" ns
+    | None -> "no delta ground (ns/ground undefined)");
   if not identical then
     Fmt.pr "WARNING: cached decisions differ from the uncached reference@.";
   let decisions = st.Serve.decisions and grounds = st.Serve.grounds in
@@ -1145,7 +1183,9 @@ let serve ~quick () =
     (Serve.hit_rate decisions) grounds.Serve.hits grounds.Serve.misses
     (Serve.ground_hit_rate grounds)
     delta.Serve.delta_grounds delta.Serve.delta_facts delta.Serve.delta_rules
-    delta.Serve.fallbacks ns_per_ground identical;
+    delta.Serve.fallbacks
+    (Option.value ~default:0.0 ns_per_ground)
+    identical;
   close_out oc;
   Fmt.pr "snapshot written to BENCH_serve.json@."
 
@@ -1158,7 +1198,7 @@ let serve2 ~quick () =
   let n = if quick then 160 else 640 in
   let queue_depth = 32 in
   let pool_n = if quick then 12 else 24 in
-  let gpm = Workloads.Xacml_logs.gpm () in
+  let gpm = serve_model () in
   let base = Array.of_list (serve_requests ~n:pool_n ~seed:5 ()) in
   let pool_size = Array.length base in
   (* Zipf over the context pool: P(rank k) ∝ 1/k, so a handful of hot
@@ -1310,29 +1350,18 @@ let reset_health () =
   Obs.Health.clear_events ()
 
 (* the gate's live counterpart of the committed delta.ns_per_ground:
-   serve a small distinct-context cold workload (all delta grounds, no
-   memo hits) and report ns per delta ground, min of [runs] *)
-let serve_ground_ns ?(n = 30) ?(runs = 3) () : float =
-  let gpm = Workloads.Xacml_logs.gpm () in
-  let reqs =
-    serve_requests ~n ~seed:5 ()
-    |> List.mapi (fun i (r : Serve.Request.t) ->
-           Serve.Request.make
-             ~context:
-               (Asp.Program.with_facts r.Serve.Request.context
-                  [ Asp.Atom.make "req_seq" [ Asp.Term.int i ] ])
-             ~options:r.Serve.Request.options ())
-  in
+   serve a small cold workload (every request a memo miss) and report
+   ns per delta ground, min of [runs]; [None] when a run did no delta
+   ground *)
+let serve_ground_ns ?(n = 30) ?(runs = 3) () : float option =
+  let gpm = serve_model () in
+  let reqs = serve_requests ~n ~seed:5 () in
   let one () =
-    let engine = Serve.create gpm in
-    let t0 = Obs.now () in
-    List.iter (fun r -> ignore (Serve.decide engine r)) reqs;
-    let t = Obs.now () -. t0 in
-    let d = (Serve.stats engine).Serve.delta in
-    t *. 1e9 /. float_of_int (max 1 d.Serve.delta_grounds)
+    let _, t, delta = serve_cold gpm reqs in
+    ns_per_ground t delta
   in
   List.fold_left
-    (fun acc _ -> Float.min acc (one ()))
+    (fun acc _ -> Option.bind acc (fun a -> Option.map (Float.min a) (one ())))
     (one ())
     (List.init (runs - 1) Fun.id)
 

@@ -114,9 +114,12 @@ let load_par_identical path : bool =
    a snapshot whose caches never hit measured nothing). Both snapshot
    generations load: bench-serve/2 adds the incremental-grounding delta
    section, whose ns_per_ground the gate re-measures and compares under
-   the tolerance. The ground-tier rate and delta section are optional
-   only in bench-serve/1 files predating them. *)
-let load_serve_baseline path : bool * float * float option * float option =
+   the tolerance, and whose delta grounds must not be zero when given (a
+   cold workload that grounded nothing has no ns per ground). The
+   ground-tier rate and delta section are optional only in bench-serve/1
+   files predating them. *)
+let load_serve_baseline path :
+    bool * float * float option * (int option * float) option =
   let j = read_json path in
   (match Obs.Json.(to_str (member "schema" j)) with
   | "bench-serve/1" | "bench-serve/2" -> ()
@@ -128,7 +131,11 @@ let load_serve_baseline path : bool * float * float option * float option =
         (member_opt "ground_cache" j)),
     Obs.Json.(
       Option.map
-        (fun d -> to_num (member "ns_per_ground" d))
+        (fun d ->
+          ( Option.map
+              (fun g -> int_of_float (to_num g))
+              (member_opt "grounds" d),
+            to_num (member "ns_per_ground" d) ))
         (member_opt "delta" j)) )
 
 (* the committed multi-tenant serve snapshot: the cluster must have
@@ -280,7 +287,7 @@ let run args =
           ( committed_identical,
             committed_hit_rate,
             committed_ground_rate,
-            committed_ns_per_ground ) ->
+            committed_delta ) ->
         if not committed_identical then begin
           Fmt.pr
             "serve: committed snapshot has identical_outcome=false  FAIL@.";
@@ -332,21 +339,36 @@ let run args =
             [ ("decision", decision_rate); ("ground", ground_rate) ];
           (* the delta section's ns_per_ground gates like the asp
              benches: re-measure, hold it to the same tolerance and count
-             a slowdown with their regressions, not as unsoundness *)
-          (match committed_ns_per_ground with
-          | None ->
-            Fmt.pr "serve: committed snapshot predates the delta section \
-                    (ns_per_ground not gated)@."
-          | Some base ->
-            let cur = Experiments.serve_ground_ns () in
-            let ratio = if base > 0.0 then cur /. base else infinity in
-            let regressed = cur > base *. (1.0 +. o.tolerance) in
-            if regressed then incr regressions;
-            Fmt.pr "serve: ns_per_ground %12.0f ns -> %10.0f ns (%.2fx)  %s@."
-              base cur ratio
-              (if regressed then "REGRESSION" else "ok"));
+             a slowdown with their regressions, not as unsoundness. A
+             cold workload that did no delta ground measured nothing,
+             which is unsound, not a ratio. *)
+          let delta_ok =
+            match committed_delta with
+            | None ->
+              Fmt.pr "serve: committed snapshot predates the delta section \
+                      (ns_per_ground not gated)@.";
+              true
+            | Some (Some 0, _) ->
+              Fmt.pr "serve: committed snapshot's cold workload did no \
+                      delta ground  FAIL@.";
+              false
+            | Some (_, base) -> (
+              match Experiments.serve_ground_ns () with
+              | None ->
+                Fmt.pr "serve: cold workload did no delta ground  FAIL@.";
+                false
+              | Some cur ->
+                let ratio = if base > 0.0 then cur /. base else infinity in
+                let regressed = cur > base *. (1.0 +. o.tolerance) in
+                if regressed then incr regressions;
+                Fmt.pr
+                  "serve: ns_per_ground %12.0f ns -> %10.0f ns (%.2fx)  %s@."
+                  base cur ratio
+                  (if regressed then "REGRESSION" else "ok");
+                true)
+          in
           committed_ground_ok && identical && decision_rate > 0.0
-          && ground_rate > 0.0
+          && ground_rate > 0.0 && delta_ok
         end
     in
     let serve2_ok =

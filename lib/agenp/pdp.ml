@@ -41,8 +41,8 @@ let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
            cache-free reference path, which is outcome-identical *)
         Serve.decide_uncached gpm request)
     | None ->
-      Serve.decide_with options ~membership:(fun opt ->
-          Asg.Membership.accepts_in_context gpm ~context opt)
+      Serve.decide_with options
+        ~membership:(Asg.Membership.accepts_in_context gpm ~context)
   in
   Obs.set_attr "fallback_used"
     (string_of_bool d.Serve.Decision.fallback_used);

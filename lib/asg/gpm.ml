@@ -15,6 +15,8 @@ module Sentences = Map.Make (struct
   let compare = List.compare String.compare
 end)
 
+module Preds = Hashtbl.Make (String)
+
 type t = {
   cfg : Grammar.Cfg.t;
   annotations : (int * Annotation.program) list;
@@ -28,6 +30,12 @@ type t = {
       (** the compiled view: tokenized sentence -> its parse trees under
           this value. An atomic immutable map, so readers on any domain
           never lock; a new one at every construction and derivation. *)
+  reads : Asp.Term.t list list Preds.t option Atomic.t;
+      (** the read index: predicate name -> the argument lists of every
+          atom occurrence in [annotations] and [shared]. Built on the
+          first {!reads} and never changed after, so it is shared across
+          domains without a lock; a new empty cell at every construction
+          and derivation. *)
 }
 
 (* Process-wide version source. Atomic so grammars can be derived from
@@ -44,6 +52,7 @@ let build cfg ~annotations ~shared =
     shared;
     version = fresh_version ();
     sentences = Atomic.make Sentences.empty;
+    reads = Atomic.make None;
   }
 
 let make ?(annotations = []) cfg = build cfg ~annotations ~shared:[]
@@ -97,6 +106,79 @@ let compiled_trees g tokens =
         else publish ()
     in
     publish ()
+
+(* Traces are folded into predicate names with '@', which no parsed
+   name contains, so a name that does may meet a mangled one. *)
+let rec mangled_from pred i =
+  i < String.length pred
+  && (String.unsafe_get pred i = '@' || mangled_from pred (i + 1))
+
+let mangled pred = mangled_from pred 0
+
+let read_index g =
+  match Atomic.get g.reads with
+  | Some idx -> idx
+  | None ->
+    let idx = Preds.create 16 in
+    let add pred args =
+      let pats = Option.value ~default:[] (Preds.find_opt idx pred) in
+      if not (List.mem args pats) then Preds.replace idx pred (args :: pats)
+    in
+    let add_atom ({ atom = { pred; args }; _ } : Annotation.aatom) =
+      add pred args;
+      (* a mangled name reads every fact of its base name and arity *)
+      if mangled pred then
+        add
+          (List.hd (String.split_on_char '@' pred))
+          (List.map (fun _ -> Asp.Term.var "_") args)
+    in
+    let add_rule ({ head; body } : Annotation.rule) =
+      (match head with
+      | Head a -> add_atom a
+      | Falsity | Weak _ -> ()
+      | Choice (_, elts, _) ->
+        List.iter
+          (fun ({ choice_atom; condition } : Annotation.choice_elt) ->
+            add_atom choice_atom;
+            List.iter add_atom condition)
+          elts);
+      List.iter
+        (function Annotation.Pos a | Neg a -> add_atom a | Cmp _ -> ())
+        body
+    in
+    List.iter (fun (_, rules) -> List.iter add_rule rules) g.annotations;
+    List.iter add_rule g.shared;
+    (* a racing domain builds an equal index; either may stay *)
+    Atomic.set g.reads (Some idx);
+    idx
+
+(* can [pattern] match the value [v]? A variable, arithmetic or an
+   interval matches any value, and a repeated variable is not held to
+   one value, so this over-approximates unification *)
+let rec may_match (pattern : Asp.Term.t) (v : Asp.Term.t) =
+  match (pattern, v) with
+  | (Var _ | Binop _ | Interval _), _ -> true
+  | Int i, Int j -> i = j
+  | Fun (f, ps), Fun (h, vs) -> String.equal f h && may_match_args ps vs
+  | _ -> false
+
+and may_match_args ps vs =
+  match (ps, vs) with
+  | [], [] -> true
+  | p :: ps, v :: vs -> may_match p v && may_match_args ps vs
+  | _ -> false
+
+let rec any_pattern args = function
+  | [] -> false
+  | pat :: pats -> may_match_args pat args || any_pattern args pats
+
+let reads g ({ pred; args } : Asp.Atom.t) =
+  (not (List.for_all Asp.Term.is_value args))
+  || mangled pred
+  ||
+  match Preds.find (read_index g) pred with
+  | pats -> any_pattern args pats
+  | exception Not_found -> false
 
 (** The underlying CFG with annotations removed (called [G_CF] in the
     paper) is just [cfg g]; the language of that CFG always contains the

@@ -60,3 +60,31 @@ type tree = {
     two domains race on a first ask, both parse and one result is kept
     for both. *)
 val compiled_trees : t -> string list -> tree list
+
+(** {2 What the model reads}
+
+    [reads g a] is [false] only when the ground fact [a] cannot meet any
+    atom of [g]: its arguments are values (no variable, arithmetic or
+    interval) and it unifies with no atom occurrence in [g]'s
+    annotations or shared rules — rule heads, choice elements and their
+    conditions, and positive and negative body atoms, at any child site.
+    A pattern argument that is a variable, arithmetic or an interval
+    matches any value, at any depth of a function term, and a repeated
+    variable is not held to one value ([p(X, X)] reads [p(a, b)]), so
+    [reads] over-approximates. A fact with a non-value argument, or a
+    name containing ['@'] (the trace encoding of {!Annotation.mangle_pred}),
+    is always read.
+
+    A context fact [g] does not read changes no answer of [G(C)]: at
+    every tree, its instances are atoms that occur in [G(C)[PT]] only as
+    those facts, so by the splitting-set theorem (Lifschitz and Turner,
+    "Splitting a Logic Program", ICLP 1994) they only add themselves to
+    every answer set. Heads count as reads: in
+    [1 { p ; q } 1. :- not q.] no body reads [p], yet the fact [p.]
+    makes the program unsatisfiable.
+
+    The index behind [reads] is built on the first ask of each value and
+    kept with it; like the compiled view, every construction and
+    derivation starts a new one, so a relearned model reads what its
+    hypothesis reads. {!Membership.project} drops unread facts. *)
+val reads : t -> Asp.Atom.t -> bool

@@ -2,7 +2,8 @@
     at least one parse tree of the underlying CFG for [s] induces a
     program with an answer set. {!programs} builds those programs from
     scratch; membership under a ground-fact context reads the model's
-    compiled view ({!Gpm.compiled_trees}) instead. *)
+    compiled view ({!Gpm.compiled_trees}) instead, on the facts the
+    model reads ({!project}). *)
 
 let c_hypothesis_evals = Obs.Counter.make "asg.hypothesis_evals"
 
@@ -94,12 +95,34 @@ let accepts_facts ?tally (g : Gpm.t) ~(facts : Asp.Atom.t list)
 let accepts (g : Gpm.t) (sentence : string) : bool =
   accepts_facts g ~facts:[] (tokenize sentence)
 
-let accepts_in_context ?tally (g : Gpm.t) ~(context : Asp.Program.t)
-    (sentence : string) : bool =
-  let tokens = tokenize sentence in
-  match Asp.Program.ground_facts context with
-  | Some facts -> accepts_facts ?tally g ~facts tokens
-  | None -> accepts_uncompiled ~context g tokens
+exception Rule_bearing
+
+(* the read facts of [rules], sharing the longest unchanged tail, so a
+   list that loses nothing comes back physically equal; raises
+   [Rule_bearing] at a rule that is not a ground fact *)
+let rec read_facts g = function
+  | [] -> []
+  | ({ Asp.Rule.head = Head a; body = [] } as r) :: rest as rules
+    when Asp.Atom.is_ground a ->
+    let rest' = read_facts g rest in
+    if not (Gpm.reads g a) then rest'
+    else if rest' == rest then rules
+    else r :: rest'
+  | _ :: _ -> raise Rule_bearing
+
+let project (g : Gpm.t) (context : Asp.Program.t) : Asp.Program.t =
+  match read_facts g (Asp.Program.rules context) with
+  | rules when rules == Asp.Program.rules context -> context
+  | rules -> Asp.Program.of_rules rules
+  | exception Rule_bearing -> context
+
+let accepts_in_context ?tally (g : Gpm.t) ~(context : Asp.Program.t) =
+  let projected = Asp.Program.ground_facts (project g context) in
+  fun (sentence : string) ->
+    let tokens = tokenize sentence in
+    match projected with
+    | Some facts -> accepts_facts ?tally g ~facts tokens
+    | None -> accepts_uncompiled ~context g tokens
 
 let witness ?context (g : Gpm.t) (sentence : string) :
     Asp.Solver.model option =

@@ -6,8 +6,10 @@
     pricing, explanations and repair reach the programs through it. The
     membership predicates {!accepts} and {!accepts_in_context} decide a
     ground-fact context through the model's compiled view instead:
-    frozen [G[PT]] cores kept on the model, extended with the context's
-    facts. The serving layer decides through {!accepts_in_context}. *)
+    frozen [G[PT]] cores kept on the model, extended with the context
+    facts the model reads ({!project}). The serving layer decides
+    through {!accepts_in_context}. {!programs}, and so the learner, sees
+    every fact: a candidate hypothesis may read any of them. *)
 
 val tokenize : string -> string list
 
@@ -65,15 +67,32 @@ type tally = {
 (** A zeroed tally. *)
 val tally : unit -> tally
 
+(** [project g context] is [context] without the facts [g] does not
+    read ({!Gpm.reads}): for a context of ground facts only, the facts
+    [g] reads, in order; a context with a proper rule is returned
+    unchanged, since a rule can derive a read atom from unread ones.
+    When nothing is dropped the result is [context] itself (physically
+    equal) and nothing is allocated.
+
+    Membership is the same under [context] and [project g context]: an
+    unread fact only adds itself to every answer set of every
+    [G(C)[PT]] (the splitting-set argument of {!Gpm.reads}). Heads are
+    reads because a fact that meets a head, a choice element above all,
+    can make a program unsatisfiable. *)
+val project : Gpm.t -> Asp.Program.t -> Asp.Program.t
+
 (** [s ∈ L(G(C))]. When [context] is ground facts only
     ({!Asp.Program.ground_facts}, the empty context included), through
-    the model's compiled view: only the facts, instantiated at each
-    tree's node traces ({!Tree_program.context_facts}), are grounded
-    against the tree's frozen core ({!Asp.Solver.has_answer_set_extended}),
-    stopping at the first accepting tree; [tally] counts that work. A
-    context with proper rules changes [G(C)[PT]] beyond facts and takes
+    the model's compiled view on the facts [g] reads ({!project}): only
+    those facts, instantiated at each tree's node traces
+    ({!Tree_program.context_facts}), are grounded against the tree's
+    frozen core ({!Asp.Solver.has_answer_set_extended}), stopping at the
+    first accepting tree; [tally] counts that work. A context with
+    proper rules changes [G(C)[PT]] beyond facts and takes
     {!accepts_uncompiled}, leaving [tally] untouched. Answers equal
-    {!accepts_uncompiled} on every context. *)
+    {!accepts_uncompiled} on every context. Applied to [g] and
+    [context] alone, it projects once for every sentence it is then
+    asked. *)
 val accepts_in_context :
   ?tally:tally -> Gpm.t -> context:Asp.Program.t -> string -> bool
 

@@ -3,7 +3,7 @@
 
     Every decision the engine serves appends one record carrying the
     request's trace ID (joinable against span [trace] attributes and
-    log ["trace"] fields), the context fingerprint, model version,
+    log ["trace"] fields), the (projected) context fingerprint, model version,
     options, outcome, compliance verdict, cache provenance, and
     latency. The ring keeps the newest [capacity] records; older ones
     are overwritten, but [seq]/[total] keep counting so truncation is
@@ -14,7 +14,11 @@ type record = {
   seq : int;  (** 0-based position in the engine's decision sequence *)
   ts : float;  (** wall-clock seconds when the decision finished *)
   trace_id : string;
-  context_fp : int;  (** [Asp.Program.fingerprint] of the request context *)
+  context_fp : int;
+      (** [Asp.Program.fingerprint] of the context the engine keyed its
+          memo on: the request context projected onto the facts the
+          model reads ({!Asg.Membership.project}), so requests that
+          differ only in unread facts record the same fingerprint *)
   gpm_version : int;
   options : string list;
   chosen : string;

@@ -1,11 +1,12 @@
 (* The decision-serving engine. See serve.mli for the design; the
    invariant that matters throughout is that the decision memo holds a
-   pure function of its key — decisions of (model version, context,
-   options) — so it can change latency and provenance but never the
-   decision. The same holds for the model's compiled view, which the
-   engine decides through and keeps no copy of. It carries to the
-   multi-tenant cluster: shards share no mutable state of their own, so
-   sharding and coalescing change scheduling, never outcomes. *)
+   pure function of its key — decisions of (model version, context
+   projected onto what the model reads, options) — so it can change
+   latency and provenance but never the decision. The same holds for
+   the model's compiled view, which the engine decides through and
+   keeps no copy of. It carries to the multi-tenant cluster: shards
+   share no mutable state of their own, so sharding and coalescing
+   change scheduling, never outcomes. *)
 
 module Lru = Lru
 module Audit = Audit
@@ -353,7 +354,10 @@ let decide t (req : Request.t) : Response.t =
   if req.options = [] then raise No_options;
   let gpm = t.gpm in
   let version = Asg.Gpm.version gpm in
-  let ctx_fp = Asp.Program.fingerprint req.context in
+  (* the memo keys on what the model reads: requests that differ only
+     in facts the model cannot read share one entry *)
+  let context = Asg.Membership.project gpm req.context in
+  let ctx_fp = Asp.Program.fingerprint context in
   let key = (version, ctx_fp, req.options) in
   let memo = locked t (fun () -> Lru.find t.memo key) in
   (* the compiled view's work for this request: every tree it decided,
@@ -361,7 +365,7 @@ let decide t (req : Request.t) : Response.t =
   let tally = Asg.Membership.tally () in
   let decision, provenance =
     match memo with
-    | Some (ctx0, d) when Asp.Program.equal ctx0 req.context ->
+    | Some (ctx0, d) when Asp.Program.equal ctx0 context ->
       locked t (fun () -> t.d_hits <- t.d_hits + 1);
       Obs.Counter.incr c.cd_hits;
       (d, Memo_hit)
@@ -373,14 +377,13 @@ let decide t (req : Request.t) : Response.t =
       if collision then Obs.Counter.incr c.cd_collisions;
       let d =
         decide_with req.options
-          ~membership:
-            (Asg.Membership.accepts_in_context ~tally gpm ~context:req.context)
+          ~membership:(Asg.Membership.accepts_in_context ~tally gpm ~context)
       in
       (* a rule-bearing context decides from scratch and leaves the
          tally at zero; tree checks under a non-empty fact context are
          delta grounds *)
       let delta_grounds, fallbacks =
-        match Asp.Program.ground_facts req.context with
+        match Asp.Program.ground_facts context with
         | None -> (0, 1)
         | Some [] -> (0, 0)
         | Some _ -> (tally.trees, 0)
@@ -395,7 +398,7 @@ let decide t (req : Request.t) : Response.t =
           t.n_delta_facts <- t.n_delta_facts + tally.facts;
           t.n_delta_rules <- t.n_delta_rules + tally.rules;
           t.n_fallbacks <- t.n_fallbacks + fallbacks;
-          match Lru.add t.memo key (req.context, d) with
+          match Lru.add t.memo key (context, d) with
           | Some _ -> Obs.Counter.incr c.cd_evictions
           | None -> ());
       Obs.Counter.incr c.cg_hits ~by:g_hits;

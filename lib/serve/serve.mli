@@ -16,16 +16,24 @@
 
     - {b Decision memo}: whole decisions keyed by (GPM version, context
       fingerprint, options), hits confirmed by structural context
-      equality, LRU-evicted ({!Lru}). {!Asg.Gpm.version} is bumped by
-      every [with_context]/[with_hypothesis]/adaptation, so stale
-      entries are unreachable by construction; {!set_gpm} additionally
-      clears the memo when the model changes.
+      equality, LRU-evicted ({!Lru}). The context is the request's
+      context projected onto the facts the model reads
+      ({!Asg.Membership.project}), once per request: requests that
+      differ only in facts the model cannot read share one entry, and
+      the memo stores, confirms and decides on the projection. That is
+      sound because membership is the same on both contexts.
+      {!Asg.Gpm.version} is bumped by every
+      [with_context]/[with_hypothesis]/adaptation, so stale entries are
+      unreachable by construction, and a derived model projects with
+      its own reads; {!set_gpm} additionally clears the memo when the
+      model changes.
     - {b Ground tier}: a memo miss decides each option with
       {!Asg.Membership.accepts_in_context} — the same call the
       engine-free PDP makes. For a ground-fact context it decides each
       parse tree on the model value's compiled view: the tree's frozen
       core, compiled once per model value and kept on it, extended with
-      the context facts alone. The engine keeps nothing beside the
+      the projected context's facts alone. A projection with no facts
+      left decides on the cores as they are and counts no delta ground. The engine keeps nothing beside the
       model: engines and shards given the same model value share its
       compiled cores, and a new model value starts with none. The tier's
       statistics come from the check's {!Asg.Membership.tally}: a hit is
@@ -51,7 +59,8 @@
     invalidate another's entries. Requests carry a [tenant] id;
     {!Cluster.run} rejects unknown tenants and serves the rest in
     consecutive windows, {e coalescing} identical (tenant, context,
-    options) requests within a window into one computation and fanning
+    options) requests within a window into one computation (on the
+    request's own context, not its projection) and fanning
     each window's distinct work across a [lib/par] pool. Responses
     carry shard provenance ({!Response.t.shard}).
 
@@ -250,8 +259,8 @@ val decide : t -> Request.t -> Response.t
 val decide_with : membership:(string -> bool) -> string list -> Decision.t
 
 (** The cache-free reference path: each option is checked from scratch
-    ({!Asg.Membership.accepts_uncompiled}), with no memo on the model or
-    the engine. The differential oracle for the cached engine and the
+    ({!Asg.Membership.accepts_uncompiled}) on the request's whole
+    context, unprojected, with no memo on the model or the engine. The differential oracle for the cached engine and the
     [uncached] row of the serve benchmark.
     @raise No_options on an empty options list. *)
 val decide_uncached : Asg.Gpm.t -> Request.t -> Decision.t

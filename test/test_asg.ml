@@ -302,6 +302,123 @@ let test_compiled_view_per_value () =
     ];
   Alcotest.(check bool) "the parent still accepts" true (accept parent)
 
+(* ---- what a model reads ---------------------------------------------- *)
+
+let atom = Asp.Parser.parse_atom_string
+
+let check_reads g cases =
+  List.iter
+    (fun (fact, expected) ->
+      Alcotest.(check bool) fact expected (Asg.Gpm.reads g (atom fact)))
+    cases
+
+(* Heads are reads. No body reads [p], yet the fact [p.] forces the
+   choice to [p] and the constraint then fails: dropping it would turn a
+   rejection into an acceptance. *)
+let test_reads_choice_head () =
+  let g = Asg.Asg_parser.parse {| start -> "go" { 1 { p ; q } 1. :- not q. } |} in
+  let context = parse_ctx "p." in
+  Alcotest.(check bool) "p is read" true (Asg.Gpm.reads g (atom "p"));
+  Alcotest.(check bool) "kept" true (Asg.Membership.project g context == context);
+  Alcotest.(check bool) "unsatisfiable under p" false
+    (Asg.Membership.accepts_uncompiled ~context g [ "go" ]);
+  Alcotest.(check bool) "and through the compiled view" false
+    (Asg.Membership.accepts_in_context g ~context "go")
+
+(* Patterns: arithmetic, intervals and variables match any value at any
+   depth; constants and function symbols must agree; a repeated variable
+   is not held to one value. *)
+let test_reads_patterns () =
+  let g =
+    Asg.Asg_parser.parse
+      {| start -> "go" { :- q(X), p(X+1). :- s(f(g(a), Y)), t(Y, Y). r(1..2). } |}
+  in
+  check_reads g
+    [
+      ("p(3)", true);
+      ("p(a)", true);
+      ("q(7)", true);
+      ("r(5)", true);
+      ("s(f(g(a), b))", true);
+      ("s(f(g(b), b))", false);
+      ("s(f(h(a), b))", false);
+      ("s(f(g(a)))", false);
+      ("s(f(g(a), b), c)", false);
+      ("t(a, b)", true);
+      ("p(1, 2)", false);
+      ("fresh(1)", false);
+    ];
+  (* a fact with a non-value argument is always read *)
+  check_reads g [ ("fresh(1..3)", true); ("fresh(1+2)", true); ("fresh(X)", true) ];
+  let kept = parse_ctx "fresh(1..3). fresh(2*2). p(3)." in
+  Alcotest.(check bool) "interval and arithmetic facts kept" true
+    (Asg.Membership.project g kept == kept);
+  (* a name with '@' can meet the trace encoding (a fact [m] at trace
+     [1] is the atom [m@1]), so it is read from either side *)
+  let encoded =
+    Asg.Gpm.add_annotation g 0 [ Asg.Annotation.fact (Asp.Atom.prop "m@1") ]
+  in
+  Alcotest.(check bool) "m meets m@1" true (Asg.Gpm.reads encoded (atom "m"));
+  Alcotest.(check bool) "a fact named with '@' is read" true
+    (Asg.Gpm.reads g (Asp.Atom.make "fresh@2" [ Asp.Term.const "a" ]))
+
+(* project: unread facts go, in order; nothing dropped is the same
+   value; a rule context is returned as it is, unread facts and all *)
+let test_project () =
+  let g = decision_gpm () in
+  let all_read = parse_ctx "risky. result(accept)." in
+  Alcotest.(check bool) "every fact read: the same value" true
+    (Asg.Membership.project g all_read == all_read);
+  Alcotest.(check bool) "empty context: the same value" true
+    (Asg.Membership.project g Asp.Program.empty == Asp.Program.empty);
+  let rules = parse_ctx "weather(sun). risky :- storm. storm." in
+  Alcotest.(check bool) "rule context: the same value" true
+    (Asg.Membership.project g rules == rules);
+  Alcotest.(check string) "unread facts dropped, order kept" "risky.\nrisky."
+    (Asp.Program.to_string
+       (Asg.Membership.project g
+          (parse_ctx "weather(sun). risky. id(u1). risky. risky(1).")));
+  List.iter
+    (fun (ctx, s) ->
+      let context = parse_ctx ctx in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s under {%s}: projected = whole" s ctx)
+        (Asg.Membership.accepts_uncompiled ~context g [ s ])
+        (Asg.Membership.accepts_uncompiled
+           ~context:(Asg.Membership.project g context) g [ s ]))
+    [ ("risky. id(u1).", "accept"); ("id(u1).", "accept"); ("risky.", "reject") ]
+
+(* the read index belongs to one model value: a hypothesis that reads
+   the subject id keeps the fact its parent dropped, and the parent
+   still drops it *)
+let test_reads_per_value () =
+  let parent =
+    Asg.Asg_parser.parse
+      {| start -> decision
+         decision -> "permit" { result(permit). } | "deny" { result(deny). } |}
+  in
+  let id = atom "attr(subject, id, u1)" in
+  let context = parse_ctx "attr(subject, id, u1)." in
+  Alcotest.(check bool) "the parent does not read the id" false
+    (Asg.Gpm.reads parent id);
+  Alcotest.(check bool) "the parent drops it" true
+    (Asp.Program.is_empty (Asg.Membership.project parent context));
+  let child =
+    Asg.Gpm.with_hypothesis parent
+      [
+        ( 0,
+          Asg.Annotation.parse_rule_string
+            ":- result(permit)@1, attr(subject, id, u1)." );
+      ]
+  in
+  Alcotest.(check bool) "the child reads it" true (Asg.Gpm.reads child id);
+  Alcotest.(check bool) "the child keeps it" true
+    (Asg.Membership.project child context == context);
+  Alcotest.(check bool) "and denies u1 the permit" false
+    (Asg.Membership.accepts_in_context child ~context "permit");
+  Alcotest.(check bool) "the parent still drops it" false
+    (Asg.Gpm.reads parent id)
+
 (* property: membership of an ASG is always a subset of its CFG language *)
 let prop_language_subset_cfg =
   QCheck2.Test.make ~name:"L(G) subset of L(G_CF)" ~count:20
@@ -359,6 +476,14 @@ let () =
           Alcotest.test_case "compiled view per value" `Quick
             test_compiled_view_per_value;
           Alcotest.test_case "membership tally" `Quick test_membership_tally;
+        ] );
+      ( "reads",
+        [
+          Alcotest.test_case "choice heads are reads" `Quick
+            test_reads_choice_head;
+          Alcotest.test_case "patterns" `Quick test_reads_patterns;
+          Alcotest.test_case "project" `Quick test_project;
+          Alcotest.test_case "read index per value" `Quick test_reads_per_value;
         ] );
       ("properties", qcheck_cases);
     ]

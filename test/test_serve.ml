@@ -176,6 +176,36 @@ let test_set_gpm_invalidates () =
   Alcotest.(check bool) "derivations bump versions" false
     (Asg.Gpm.version g_snow = Asg.Gpm.version (Asg.Gpm.with_context g_snow snow))
 
+(* The memo keys on what the model reads: a request that differs from
+   an earlier one only in a fact the model cannot read is a memo hit,
+   answers as the reference on its own whole context, and is audited
+   under the same context fingerprint. *)
+let test_memo_keys_on_reads () =
+  let gpm = gpm_of snow_grammar in
+  let engine = Serve.create gpm in
+  let options = [ "accept"; "reject" ] in
+  let first = request (ctx "weather(snow). attr(subject, id, u1).") options in
+  let second = request (ctx "weather(snow). attr(subject, id, u2).") options in
+  let r1 = Serve.decide engine first in
+  let r2 = Serve.decide engine second in
+  Alcotest.(check string) "first is cold" "cold" (prov r1.Serve.Response.provenance);
+  Alcotest.(check string) "second is a memo hit" "memo"
+    (prov r2.Serve.Response.provenance);
+  Alcotest.check decision_t "the reference on the raw context"
+    (Serve.decide_uncached gpm second)
+    r2.Serve.Response.decision;
+  match Serve.audit engine with
+  | None -> Alcotest.fail "default config keeps an audit ring"
+  | Some ring -> (
+    match Serve.Audit.to_list ring with
+    | [ a1; a2 ] ->
+      Alcotest.(check int) "one audited fingerprint" a1.Serve.Audit.context_fp
+        a2.Serve.Audit.context_fp;
+      Alcotest.(check int) "the fingerprint of what the model reads"
+        (Asp.Program.fingerprint snow) a2.Serve.Audit.context_fp
+    | records ->
+      Alcotest.failf "expected 2 audit records, got %d" (List.length records))
+
 (* ---- the differential property ---------------------------------------- *)
 
 (* Random op sequences against one engine with a deliberately tiny memo
@@ -186,14 +216,20 @@ let differential_prop =
   let models =
     [| gpm_of snow_grammar; gpm_of sun_only_grammar; gpm_of free_grammar |]
   in
-  (* the last three carry proper rules, so they are decided from scratch
-     instead of by a delta ground on the compiled view *)
+  (* the next three carry facts some models do not read (a fresh
+     predicate, a known one with a foreign constant), so those models
+     key and decide them on a projection; the last three carry proper
+     rules, so they are decided from scratch instead of by a delta
+     ground on the compiled view *)
   let contexts =
     [|
       snow;
       sun;
       fog;
       Asp.Program.empty;
+      ctx "weather(snow). attr(subject, id, u1).";
+      ctx "attr(subject, id, u2). weather(sun).";
+      ctx "weather(hail). weather(snow). weather(hail).";
       ctx "weather(snow) :- cold. cold.";
       ctx "weather(X) :- forecast(X). forecast(sun).";
       ctx "weather(fog) :- not weather(sun).";
@@ -857,6 +893,7 @@ let () =
           Alcotest.test_case "shared compiled view" `Quick
             test_shared_compiled_view;
           Alcotest.test_case "set_gpm invalidates" `Quick test_set_gpm_invalidates;
+          Alcotest.test_case "memo keys on reads" `Quick test_memo_keys_on_reads;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest differential_prop ]);
       ( "batch",

@@ -485,6 +485,15 @@ let context_of (c : compiled_case) (i, kind) =
   in
   Asp.Program.of_rules rules
 
+(* [rules] added to every production of the start symbol *)
+let at_root g rules =
+  let cfg = Asg.Gpm.cfg g in
+  List.fold_left
+    (fun g (p : Grammar.Production.t) ->
+      Asg.Gpm.add_annotation g p.Grammar.Production.id rules)
+    g
+    (Grammar.Cfg.productions_of cfg (Grammar.Cfg.start cfg))
+
 (* A model drawn from a case: its base GPM extended with up to three
    candidates of its space, and with the latent rules at the root. *)
 let compiled_model (c : compiled_case) (picks, latent) =
@@ -492,14 +501,7 @@ let compiled_model (c : compiled_case) (picks, latent) =
     Ilp.Task.apply_hypothesis c.base
       (List.map (fun k -> c.space.(k mod Array.length c.space)) picks)
   in
-  if not latent then g
-  else
-    let cfg = Asg.Gpm.cfg g in
-    List.fold_left
-      (fun g (p : Grammar.Production.t) ->
-        Asg.Gpm.add_annotation g p.Grammar.Production.id latent_rules)
-      g
-      (Grammar.Cfg.productions_of cfg (Grammar.Cfg.start cfg))
+  if latent then at_root g latent_rules else g
 
 let gen_compiled_input =
   QCheck2.Gen.(
@@ -573,12 +575,94 @@ let prop_compiled_membership_par =
       in
       parallel = sequential)
 
+(* ---- projection onto what the model reads ---- *)
+
+(* Facts a model may not read, appended to a context: a fresh predicate,
+   the subject id every perfbench request carries (a known predicate
+   with a foreign constant on the XACML models), the case's own integer
+   fact with a foreign constant, and [latent_pick], which only the
+   choice atom of [choice_rules] reads. *)
+type extra = Fresh of int | Subject_id of int | Foreign_int | Choice_only
+
+let gen_extra =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> Fresh k) (int_bound 3);
+        map (fun u -> Subject_id u) (int_bound 3);
+        return Foreign_int;
+        return Choice_only;
+      ])
+
+let extra_fact (c : compiled_case) = function
+  | Fresh k -> Printf.sprintf "fresh_%d(u%d)." k k
+  | Subject_id u -> Printf.sprintf "attr(subject, id, u%d)." u
+  | Foreign_int -> c.int_fact "u7"
+  | Choice_only -> "latent_pick."
+
+(* Root rules whose one answer set picks [latent_spare]: no body reads
+   [latent_pick], yet the fact [latent_pick.] leaves no answer set. *)
+let choice_rules =
+  Asg.Annotation.parse "1 { latent_pick ; latent_spare } 1. :- not latent_spare."
+
+(* ... and a root rule that reads one subject id, as a relearn that made
+   the id relevant would *)
+let id_rules = Asg.Annotation.parse ":- attr(subject, id, u2)."
+
+let gen_projected_input =
+  QCheck2.Gen.(
+    triple
+      (int_bound (Array.length compiled_cases - 1))
+      (pair (pair (list_size (int_bound 3) nat) bool) (pair bool bool))
+      (list_size (int_range 1 4)
+         (pair (pair nat gen_context_kind) (list_size (int_range 1 3) gen_extra))))
+
+let projected_context c (k, extras) =
+  Asp.Program.append (context_of c k)
+    (Asp.Parser.parse_program
+       (String.concat " " (List.map (extra_fact c) extras)))
+
+let print_projected_input (ci, ((picks, latent), (choice, reads_id)), kinds) =
+  let c = Lazy.force compiled_cases.(ci) in
+  Printf.sprintf "%s, candidates [%s], latent %b, choice %b, reads id %b, contexts:\n%s"
+    c.name
+    (String.concat "; " (List.map string_of_int picks))
+    latent choice reads_id
+    (String.concat "\n---\n"
+       (List.map (fun k -> Asp.Program.to_string (projected_context c k)) kinds))
+
+(* Dropping what the model does not read changes no answer, and the
+   compiled view, which decides on the projection, answers as the
+   from-scratch check on the whole context. *)
+let prop_projected_membership =
+  QCheck2.Test.make ~name:"projected membership = unprojected membership"
+    ~count:60 ~print:print_projected_input gen_projected_input
+    (fun (ci, ((picks, latent), (choice, reads_id)), kinds) ->
+      let c = Lazy.force compiled_cases.(ci) in
+      let g = compiled_model c (picks, latent) in
+      let g = if choice then at_root g choice_rules else g in
+      let g = if reads_id then at_root g id_rules else g in
+      List.for_all
+        (fun k ->
+          let context = projected_context c k in
+          let projected = Asg.Membership.project g context in
+          List.for_all
+            (fun s ->
+              let tokens = Asg.Membership.tokenize s in
+              let whole = Asg.Membership.accepts_uncompiled ~context g tokens in
+              whole
+              = Asg.Membership.accepts_uncompiled ~context:projected g tokens
+              && whole = Asg.Membership.accepts_in_context g ~context s)
+            c.sentences)
+        kinds)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cav_examples_consistent;
       prop_compiled_membership;
       prop_compiled_membership_par;
+      prop_projected_membership;
     ]
 
 let () =
