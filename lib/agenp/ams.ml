@@ -6,10 +6,6 @@
     examples and relearns when violations accumulate; the PReP
     regenerates the concrete policy set into the repository. *)
 
-let log_src = Logs.Src.create "agenp.ams" ~doc:"AMS closed-loop events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type environment = {
   options : string list;
       (** decision strings in preference order; last is the fail-safe *)
@@ -83,7 +79,7 @@ let handle_request (t : t) (local_context : Asp.Program.t) : Pep.record =
   let context = Asp.Program.append local_context external_facts in
   Context_repo.update t.context_repo context;
   (* PDP: decide with the current learned model *)
-  let request = Request.make ~context ~options:t.env.options () in
+  let request = Serve.Request.make ~context ~options:t.env.options () in
   let decision =
     Pdp.decide ?engine:t.serve_engine (gpm t) ~context
       ~options:t.env.options
@@ -107,18 +103,8 @@ let handle_request (t : t) (local_context : Asp.Program.t) : Pep.record =
   (* PAdaP: adapt when violations accumulate *)
   (match Padap.maybe_adapt t.padap with
   | `Updated ->
-    Log.info (fun m ->
-        m "%s: adapted policy model (%d rules, %d examples)" t.name
-          (List.length (Padap.hypothesis t.padap))
-          (List.length (Padap.examples t.padap)));
     ignore (Repository.store_representation t.repository (gpm t))
-  | `Failed ->
-    Log.warn (fun m -> m "%s: adaptation failed (task unsatisfiable)" t.name)
-  | `Unchanged | `Not_triggered -> ());
-  if not verdict then
-    Log.debug (fun m ->
-        m "%s: non-compliant decision %s at tick %d" t.name
-          decision.Serve.Decision.chosen record.Pep.tick);
+  | `Failed | `Unchanged | `Not_triggered -> ());
   record
 
 (** PReP policy generation for the current context. *)

@@ -5,32 +5,27 @@
 
 type t = {
   mutable current : Asp.Program.t;
-  mutable history : Asp.Program.t list;  (** newest first *)
-  mutable capacity : int;
+  history : Asp.Program.t Obs.Ring.t;  (** the last [capacity] contexts *)
 }
 
 let create ?(capacity = 256) () =
-  { current = Asp.Program.empty; history = []; capacity }
+  { current = Asp.Program.empty; history = Obs.Ring.create ~capacity }
 
 let current t = t.current
 
 let update t ctx =
-  t.history <- t.current :: t.history;
-  if List.length t.history > t.capacity then
-    t.history <-
-      List.filteri (fun i _ -> i < t.capacity) t.history;
+  ignore (Obs.Ring.add t.history (fun _ -> t.current));
   t.current <- ctx
 
 (** Merge external facts (from the PIP) into the current context. *)
 let merge_external t (facts : Asp.Program.t) =
   t.current <- Asp.Program.append t.current facts
 
-let history t = t.history
+let history t = List.rev (Obs.Ring.to_list t.history)
 
 (** Has the context changed between the last two snapshots? Triggers
     PAdaP re-evaluation. *)
 let changed t =
-  match t.history with
+  match Obs.Ring.to_list ~last:1 t.history with
   | [] -> false
-  | prev :: _ ->
-    Asp.Program.to_string prev <> Asp.Program.to_string t.current
+  | prev :: _ -> not (Asp.Program.equal prev t.current)

@@ -7,6 +7,9 @@ val create : ?capacity:int -> unit -> t
 val current : t -> Asp.Program.t
 val update : t -> Asp.Program.t -> unit
 val merge_external : t -> Asp.Program.t -> unit
+
+(** The last [capacity] (default 256) contexts an {!update} replaced,
+    newest first. *)
 val history : t -> Asp.Program.t list
 
 (** Did the context change between the last two snapshots? *)

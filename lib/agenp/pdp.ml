@@ -17,7 +17,7 @@ let c_fallbacks = Obs.Counter.make "agenp.pdp.fallbacks"
 let h_fallbacks = Obs.Health.make "pdp.fallbacks"
 
 let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
-    ~(context : Asp.Program.t) ~(options : string list) : Decision.t =
+    ~(context : Asp.Program.t) ~(options : string list) : Serve.Decision.t =
   (* one trace scope per PDP decision: the pdp span, the serve engine
      (or the model's compiled membership) beneath it, and any fallback
      log line all correlate under the same request-scoped ID *)
@@ -29,11 +29,11 @@ let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
     match engine with
     | Some (Serve.Engine e) ->
       Serve.set_gpm e gpm;
-      (Serve.decide e (Request.make ~context ~options ())).Serve.Response
+      (Serve.decide e (Serve.Request.make ~context ~options ())).Serve.Response
         .decision
     | Some (Serve.Tenant (cluster, tenant)) -> (
       Serve.Cluster.set_gpm cluster ~tenant gpm;
-      let request = Request.make ~tenant ~context ~options () in
+      let request = Serve.Request.make ~tenant ~context ~options () in
       match Serve.Cluster.decide cluster request with
       | Serve.Cluster.Served r -> r.Serve.Response.decision
       | Serve.Cluster.Rejected _ ->

@@ -19,4 +19,4 @@ val decide :
   Asg.Gpm.t ->
   context:Asp.Program.t ->
   options:string list ->
-  Decision.t
+  Serve.Decision.t

@@ -5,7 +5,10 @@
     remaining unknown atoms. Each complete assignment is verified against
     the Gelfond–Lifschitz condition (least model of the reduct equals the
     candidate), so the search is sound and complete for normal rules,
-    constraints, and choice rules with cardinality bounds.
+    constraints, and choice rules with cardinality bounds. Every search
+    runs over a {!prepare}d program, extended by any delta rules
+    ({!extend}); the well-founded bounds and the stability check are
+    least models of reducts, computed by one loop ({!least_model}).
 
     Propagation is {e counter-based} in the style of two-watched-literal
     schemes: every rule keeps a satisfied-literal counter and a
@@ -37,7 +40,7 @@ type value = True | False | Unknown
 exception Conflict
 exception Done
 
-(* Integer-indexed view of the ground program. *)
+(* Integer-indexed view of a ground rule. *)
 type irule = {
   ihead : ihead;
   ipos : int array;
@@ -50,68 +53,82 @@ and ihead =
   | IWeak of int  (** weight of a weak-constraint instance *)
   | IChoice of int option * int array * int option
 
-type search_state = {
+(* The compiled form of a ground program, never written once built, so
+   one value backs any number of concurrent searches. *)
+type prepared = {
   atoms : Atom.t array;
   id_of : (Atom.t, int) Hashtbl.t;
-      (** atom ids; never mutated after construction, so {!prepare} can
-          share it across extensions *)
-  rules_by_head : int list array;  (** rule indices that can derive atom i *)
-  rule_arr : irule array;
-  assignment : value array;
-  count_rules : Grounder.ground_rule list;
+      (** ids of the prepared atoms; a delta's new atoms are numbered by
+          {!extend} alone *)
+  rules : irule array;
+  counts : Grounder.ground_rule list;
       (** aggregate-bearing constraints/weak rules, checked on candidate
           models rather than during propagation *)
-  (* -- incremental propagation state -- *)
+  rules_by_head : int list array;  (** rule indices that can derive atom i *)
   pos_occ : int list array;  (** rules with atom i in their positive body *)
   neg_occ : int list array;  (** rules with atom i in their negative body *)
-  nbody : int array;  (** body literal count per rule (static) *)
+  nbody : int array;  (** body literal count per rule *)
+  definite : bool;
+      (** every rule has a plain atom head, no negative body, no
+          aggregates: the program is definite, so its least model exists
+          and equals the grounder's derived base *)
+}
+
+(* A search over a prepared program: the program and the mutable arrays. *)
+type search_state = {
+  pr : prepared;
+  assignment : value array;
   sat_cnt : int array;  (** body literals currently satisfied, per rule *)
   blk_cnt : int array;  (** body literals currently falsified, per rule *)
   source : int array;  (** supporting rule per atom, or -1 *)
   queue : int array;  (** assignment queue (ring of atom ids) *)
   mutable qhead : int;
   mutable qtail : int;
-  (* -- preallocated Gelfond–Lifschitz check buffers -- *)
-  gl_derived : bool array;
-  gl_rem : int array;
-  gl_neg_ok : bool array;
+  derived : bool array;  (** the stability check's least model *)
+  missing : int array;
+      (** per rule, the positive body atoms a least model has not derived
+          yet *)
 }
 
-let index_program (gp : Grounder.ground_program) =
-  let atoms = Array.of_list (Atom.Set.elements gp.base) in
-  let id_of = Hashtbl.create (Array.length atoms * 2) in
-  Array.iteri (fun i a -> Hashtbl.replace id_of a i) atoms;
-  let id a = Hashtbl.find id_of a in
-  let count_rules, plain_rules =
-    List.partition
-      (fun (r : Grounder.ground_rule) -> r.gcounts <> [])
-      gp.grules
+(* -- Compilation ------------------------------------------------------- *)
+
+let irule id (r : Grounder.ground_rule) =
+  {
+    ihead =
+      (match r.ghead with
+      | Grounder.GAtom a -> IAtom (id a)
+      | Grounder.GFalse -> IFalse
+      | Grounder.GWeak w -> IWeak w
+      | Grounder.GChoice (l, ats, u) ->
+        IChoice (l, Array.of_list (List.map id ats), u));
+    ipos = Array.of_list (List.map id r.gpos);
+    ineg = Array.of_list (List.map id r.gneg);
+  }
+
+(* [pr] extended with [atoms] and the indexed [rules] over them, plus the
+   aggregate-bearing [counts]. Consing onto copied occurrence slots
+   builds new cells over [pr]'s tails, so [pr] is never written. *)
+let append pr ~atoms ~counts rules =
+  let cat a b =
+    if Array.length a = 0 then b
+    else if Array.length b = 0 then a
+    else Array.append a b
   in
-  let rules =
-    List.map
-      (fun (r : Grounder.ground_rule) ->
-        {
-          ihead =
-            (match r.ghead with
-            | Grounder.GAtom a -> IAtom (id a)
-            | Grounder.GFalse -> IFalse
-            | Grounder.GWeak w -> IWeak w
-            | Grounder.GChoice (l, ats, u) ->
-              IChoice (l, Array.of_list (List.map id ats), u));
-          ipos = Array.of_list (List.map id r.gpos);
-          ineg = Array.of_list (List.map id r.gneg);
-        })
-      plain_rules
-  in
-  let rule_arr = Array.of_list rules in
+  let n0 = Array.length pr.atoms and nr0 = Array.length pr.rules in
+  let atoms = cat pr.atoms atoms and all = cat pr.rules rules in
   let n = Array.length atoms in
-  let nr = Array.length rule_arr in
-  let rules_by_head = Array.make n [] in
-  let pos_occ = Array.make n [] in
-  let neg_occ = Array.make n [] in
-  let nbody = Array.make nr 0 in
+  let grow occ =
+    let a = Array.make n [] in
+    Array.blit occ 0 a 0 n0;
+    a
+  in
+  let rules_by_head = grow pr.rules_by_head in
+  let pos_occ = grow pr.pos_occ and neg_occ = grow pr.neg_occ in
+  let nbody = Array.make (Array.length all) 0 in
+  Array.blit pr.nbody 0 nbody 0 nr0;
   Array.iteri
-    (fun ri r ->
+    (fun k r ->
+      let ri = nr0 + k in
       (match r.ihead with
       | IAtom h -> rules_by_head.(h) <- ri :: rules_by_head.(h)
       | IFalse | IWeak _ -> ()
@@ -120,17 +137,87 @@ let index_program (gp : Grounder.ground_program) =
       nbody.(ri) <- Array.length r.ipos + Array.length r.ineg;
       Array.iter (fun a -> pos_occ.(a) <- ri :: pos_occ.(a)) r.ipos;
       Array.iter (fun a -> neg_occ.(a) <- ri :: neg_occ.(a)) r.ineg)
-    rule_arr;
+    rules;
   {
     atoms;
-    id_of;
+    id_of = pr.id_of;
+    rules = all;
+    counts = (if counts = [] then pr.counts else pr.counts @ counts);
     rules_by_head;
-    rule_arr;
-    assignment = Array.make n Unknown;
-    count_rules;
     pos_occ;
     neg_occ;
     nbody;
+    definite =
+      pr.definite && counts = []
+      && Array.for_all
+           (fun r ->
+             Array.length r.ineg = 0
+             && match r.ihead with IAtom _ -> true | _ -> false)
+           rules;
+  }
+
+let split_counts (rules : Grounder.ground_rule list) =
+  List.partition (fun (r : Grounder.ground_rule) -> r.gcounts <> []) rules
+
+let prepare (gp : Grounder.ground_program) : prepared =
+  let atoms = Array.of_list (Atom.Set.elements gp.base) in
+  let id_of = Hashtbl.create (Array.length atoms * 2) in
+  Array.iteri (fun i a -> Hashtbl.replace id_of a i) atoms;
+  let counts, plain = split_counts gp.grules in
+  (* no atoms or rules yet, but the atom table [append] passes on *)
+  let empty =
+    {
+      atoms = [||];
+      id_of;
+      rules = [||];
+      counts = [];
+      rules_by_head = [||];
+      pos_occ = [||];
+      neg_occ = [||];
+      nbody = [||];
+      definite = true;
+    }
+  in
+  append empty ~atoms ~counts
+    (Array.of_list (List.map (irule (Hashtbl.find id_of)) plain))
+
+(** A fresh search over [pr]'s program extended with [delta] ground rules:
+    the mutable search arrays, over [pr] itself when there is no delta
+    (every array of [pr] shared), otherwise over [pr] with only the delta
+    compiled, its new atoms numbered above [pr]'s in order of
+    appearance. *)
+let extend (pr : prepared) (delta : Grounder.ground_rule list) : search_state =
+  let pr =
+    match delta with
+    | [] -> pr
+    | _ ->
+      let n0 = Array.length pr.atoms in
+      let fresh = ref [] in
+      let local = Hashtbl.create 16 in
+      let id a =
+        match Hashtbl.find_opt pr.id_of a with
+        | Some i -> i
+        | None -> (
+          match Hashtbl.find_opt local a with
+          | Some i -> i
+          | None ->
+            let i = n0 + Hashtbl.length local in
+            Hashtbl.add local a i;
+            fresh := a :: !fresh;
+            i)
+      in
+      (* aggregate-bearing delta rules are model-checked like the core's;
+         their body atoms need no ids: an atom no plain rule can derive is
+         never true in a stable model, so checking it against the
+         extracted model coincides with the full-program search *)
+      let counts, plain = split_counts delta in
+      let rules = Array.of_list (List.map (irule id) plain) in
+      append pr ~atoms:(Array.of_list (List.rev !fresh)) ~counts rules
+  in
+  let n = Array.length pr.atoms and nr = Array.length pr.rules in
+  {
+    pr;
+    assignment = Array.make n Unknown;
     sat_cnt = Array.make nr 0;
     blk_cnt = Array.make nr 0;
     source = Array.make n (-1);
@@ -139,9 +226,8 @@ let index_program (gp : Grounder.ground_program) =
     queue = Array.make (n + 1) 0;
     qhead = 0;
     qtail = 0;
-    gl_derived = Array.make n false;
-    gl_rem = Array.make nr 0;
-    gl_neg_ok = Array.make nr false;
+    derived = Array.make n false;
+    missing = Array.make nr 0;
   }
 
 (* -- Propagation ------------------------------------------------------- *)
@@ -192,7 +278,7 @@ let choice_bounds st lower ats upper =
 
 (** Consequences of rule [ri]'s body having just become satisfied. *)
 let on_body_sat st ri =
-  match st.rule_arr.(ri).ihead with
+  match st.pr.rules.(ri).ihead with
   | IAtom h -> ignore (set st h True)
   | IFalse -> raise Conflict
   | IWeak _ -> ()
@@ -201,9 +287,9 @@ let on_body_sat st ri =
 (** Unit propagation on a constraint: with no falsified literal and a
     single unknown one left, that literal must be falsified. *)
 let constraint_unit st ri =
-  let r = st.rule_arr.(ri) in
+  let r = st.pr.rules.(ri) in
   match r.ihead with
-  | IFalse when st.blk_cnt.(ri) = 0 && st.nbody.(ri) - st.sat_cnt.(ri) = 1 ->
+  | IFalse when st.blk_cnt.(ri) = 0 && st.pr.nbody.(ri) - st.sat_cnt.(ri) = 1 ->
     Array.iter
       (fun a -> if st.assignment.(a) = Unknown then ignore (set st a False))
       r.ipos;
@@ -212,25 +298,24 @@ let constraint_unit st ri =
       r.ineg
   | _ -> ()
 
+(** Point [a]'s source at a non-blocked rule that can derive it; with none
+    left, [a] is false (conflict if already true). *)
+let support st a =
+  let rec seek = function
+    | [] ->
+      st.source.(a) <- -1;
+      ignore (set st a False)
+    | ri :: rest -> if st.blk_cnt.(ri) = 0 then st.source.(a) <- ri else seek rest
+  in
+  seek st.pr.rules_by_head.(a)
+
 (** Rule [ri]'s body has just become blocked: atoms whose source pointer
-    was [ri] must seek a new non-blocked supporter; an atom with none left
-    is false (conflict if already true). *)
+    was [ri] must seek a new non-blocked supporter. *)
 let on_body_blocked st ri =
   let reselect a =
-    if st.source.(a) = ri && st.assignment.(a) <> False then begin
-      let rec seek = function
-        | [] -> None
-        | cand :: rest -> if st.blk_cnt.(cand) = 0 then Some cand else seek rest
-      in
-      match seek st.rules_by_head.(a) with
-      | Some cand -> st.source.(a) <- cand
-      | None ->
-        st.source.(a) <- -1;
-        if st.assignment.(a) = True then raise Conflict
-        else ignore (set st a False)
-    end
+    if st.source.(a) = ri && st.assignment.(a) <> False then support st a
   in
-  match st.rule_arr.(ri).ihead with
+  match st.pr.rules.(ri).ihead with
   | IAtom h -> reselect h
   | IChoice (_, ats, _) -> Array.iter reselect ats
   | IFalse | IWeak _ -> ()
@@ -240,7 +325,7 @@ let on_body_blocked st ri =
 let literal_sat st ri =
   st.sat_cnt.(ri) <- st.sat_cnt.(ri) + 1;
   if st.blk_cnt.(ri) = 0 then
-    if st.sat_cnt.(ri) = st.nbody.(ri) then on_body_sat st ri
+    if st.sat_cnt.(ri) = st.pr.nbody.(ri) then on_body_sat st ri
     else constraint_unit st ri
 
 (** Process one literal of rule [ri] becoming falsified. *)
@@ -257,30 +342,30 @@ let propagate st =
     let v = st.assignment.(i) in
     (match v with
     | True ->
-      List.iter (fun ri -> literal_sat st ri) st.pos_occ.(i);
-      List.iter (fun ri -> literal_blocked st ri) st.neg_occ.(i)
+      List.iter (fun ri -> literal_sat st ri) st.pr.pos_occ.(i);
+      List.iter (fun ri -> literal_blocked st ri) st.pr.neg_occ.(i)
     | False ->
-      List.iter (fun ri -> literal_blocked st ri) st.pos_occ.(i);
-      List.iter (fun ri -> literal_sat st ri) st.neg_occ.(i)
+      List.iter (fun ri -> literal_blocked st ri) st.pr.pos_occ.(i);
+      List.iter (fun ri -> literal_sat st ri) st.pr.neg_occ.(i)
     | Unknown -> () (* unreachable: queued atoms are assigned *));
     (* an assigned choice element may tighten its rule's bounds *)
     List.iter
       (fun ri ->
-        match st.rule_arr.(ri).ihead with
+        match st.pr.rules.(ri).ihead with
         | IChoice (l, ats, u)
-          when st.blk_cnt.(ri) = 0 && st.sat_cnt.(ri) = st.nbody.(ri) ->
+          when st.blk_cnt.(ri) = 0 && st.sat_cnt.(ri) = st.pr.nbody.(ri) ->
           choice_bounds st l ats u
         | _ -> ())
-      st.rules_by_head.(i)
+      st.pr.rules_by_head.(i)
   done
 
 (** One-time initialization after seeding: derive counters from the current
     assignment, pick initial source pointers, and fire all immediately
     available consequences. *)
 let init_propagation st =
-  let nr = Array.length st.rule_arr in
+  let nr = Array.length st.pr.rules in
   for ri = 0 to nr - 1 do
-    let r = st.rule_arr.(ri) in
+    let r = st.pr.rules.(ri) in
     let sat = ref 0 and blk = ref 0 in
     Array.iter
       (fun a ->
@@ -300,86 +385,76 @@ let init_propagation st =
     st.blk_cnt.(ri) <- !blk
   done;
   (* initial source pointers; unsupported atoms are false *)
-  Array.iteri
-    (fun i v ->
-      if v <> False then begin
-        let rec seek = function
-          | [] -> None
-          | cand :: rest ->
-            if st.blk_cnt.(cand) = 0 then Some cand else seek rest
-        in
-        match seek st.rules_by_head.(i) with
-        | Some cand -> st.source.(i) <- cand
-        | None ->
-          st.source.(i) <- -1;
-          if v = True then raise Conflict else ignore (set st i False)
-      end)
-    st.assignment;
+  Array.iteri (fun i v -> if v <> False then support st i) st.assignment;
   (* fire rules already satisfied or unit by the seeded assignment *)
   for ri = 0 to nr - 1 do
     if st.blk_cnt.(ri) = 0 then
-      if st.sat_cnt.(ri) = st.nbody.(ri) then on_body_sat st ri
+      if st.sat_cnt.(ri) = st.pr.nbody.(ri) then on_body_sat st ri
       else constraint_unit st ri
   done;
   propagate st
 
-(* -- Well-founded seeding ---------------------------------------------- *)
+(* -- Least models ------------------------------------------------------ *)
 
-(** Alternating-fixpoint well-founded bounds computed directly on the
-    indexed rules (the logic mirrors {!Wellfounded.compute}, reusing this
-    solver's occurrence lists): atoms in the lower bound are seeded true,
-    atoms outside the upper bound false. The result is unchanged, the
-    search space shrinks. *)
+(** The least model of a reduct of the program, into [out]: a rule fires
+    once its positive body is derived, unless one of its negative atoms
+    satisfies [against]; a firing choice rule derives the elements that
+    satisfy [chosen]. One worklist pass with a counter per rule of the
+    positive atoms still missing, linear in the program size. The
+    propagation queue is empty whenever this runs (before propagation
+    starts, and at a complete assignment), so it holds the worklist. *)
+let least_model st ~against ~chosen out =
+  let rules = st.pr.rules and missing = st.missing and stack = st.queue in
+  Array.fill out 0 (Array.length out) false;
+  let top = ref 0 in
+  let derive a =
+    if not out.(a) then begin
+      out.(a) <- true;
+      stack.(!top) <- a;
+      incr top
+    end
+  in
+  let fire ri =
+    match rules.(ri).ihead with
+    | IAtom h -> derive h
+    | IChoice (_, ats, _) -> Array.iter (fun a -> if chosen a then derive a) ats
+    | IFalse | IWeak _ -> ()
+  in
+  for ri = 0 to Array.length rules - 1 do
+    let r = rules.(ri) in
+    if Array.exists against r.ineg then missing.(ri) <- max_int (* never fires *)
+    else begin
+      missing.(ri) <- Array.length r.ipos;
+      if missing.(ri) = 0 then fire ri
+    end
+  done;
+  while !top > 0 do
+    decr top;
+    List.iter
+      (fun ri ->
+        if missing.(ri) <> max_int then begin
+          missing.(ri) <- missing.(ri) - 1;
+          if missing.(ri) = 0 then fire ri
+        end)
+      st.pr.pos_occ.(stack.(!top))
+  done
+
+(** Alternating-fixpoint well-founded bounds: the lower bound is the least
+    model of the reduct against the upper one with no choice element, the
+    upper bound that of the reduct against the lower one with every
+    choice element. Atoms in the lower bound are seeded true, atoms
+    outside the upper bound false. The result is unchanged, the search
+    space shrinks. *)
 let wellfounded_seed st =
-  let n = Array.length st.atoms in
-  let nr = Array.length st.rule_arr in
+  let n = Array.length st.pr.atoms in
   let lower = Array.make n false in
   let upper = Array.make n true in
   let lower' = Array.make n false in
   let upper' = Array.make n false in
-  let rem_pos = Array.make nr 0 in
-  let gamma ~negatives_wrt ~include_choices ~out =
-    Array.fill out 0 n false;
-    let work = ref [] in
-    let derive a =
-      if not out.(a) then begin
-        out.(a) <- true;
-        work := a :: !work
-      end
-    in
-    let fire ri =
-      match st.rule_arr.(ri).ihead with
-      | IAtom h -> derive h
-      | IChoice (_, ats, _) -> if include_choices then Array.iter derive ats
-      | IFalse | IWeak _ -> ()
-    in
-    for ri = 0 to nr - 1 do
-      let r = st.rule_arr.(ri) in
-      let neg_ok = Array.for_all (fun a -> not negatives_wrt.(a)) r.ineg in
-      if not neg_ok then rem_pos.(ri) <- max_int (* can never fire *)
-      else begin
-        rem_pos.(ri) <- Array.length r.ipos;
-        if rem_pos.(ri) = 0 then fire ri
-      end
-    done;
-    while !work <> [] do
-      match !work with
-      | [] -> ()
-      | a :: rest ->
-        work := rest;
-        List.iter
-          (fun ri ->
-            if rem_pos.(ri) <> max_int then begin
-              rem_pos.(ri) <- rem_pos.(ri) - 1;
-              if rem_pos.(ri) = 0 then fire ri
-            end)
-          st.pos_occ.(a)
-    done
-  in
   let continue = ref true in
   while !continue do
-    gamma ~negatives_wrt:upper ~include_choices:false ~out:lower';
-    gamma ~negatives_wrt:lower' ~include_choices:true ~out:upper';
+    least_model st ~against:(Array.get upper) ~chosen:(fun _ -> false) lower';
+    least_model st ~against:(Array.get lower') ~chosen:(fun _ -> true) upper';
     if lower = lower' (* structural: same contents *) && upper = upper' then
       continue := false
     else begin
@@ -400,64 +475,28 @@ let wellfounded_seed st =
   done;
   Obs.Counter.incr c_propagations ~by:!assigned
 
-(* -- Stability check --------------------------------------------------- *)
-
-(** Gelfond–Lifschitz check: the least model of the reduct w.r.t. the
-    candidate must equal the candidate; constraints and cardinality bounds
-    must hold. Runs in time linear in the program size: a worklist
-    derivation with per-rule remaining-positive-literal counters, instead
-    of repeated full scans. *)
+(** Gelfond–Lifschitz check at a complete assignment: the least model of
+    the reduct against the candidate, whose choice rules derive only the
+    elements the candidate holds, must equal the candidate; constraints
+    and cardinality bounds must hold. *)
 let is_stable st =
   Obs.Counter.incr c_gl_checks;
   Obs.fine_span "asp.solve.gl_check" @@ fun () ->
   let in_m i = st.assignment.(i) = True in
-  let n = Array.length st.atoms in
-  let nr = Array.length st.rule_arr in
-  let derived = st.gl_derived in
-  let rem_pos = st.gl_rem in
-  let neg_ok = st.gl_neg_ok in
-  Array.fill derived 0 n false;
-  let work = ref [] in
-  let derive a =
-    if not derived.(a) then begin
-      derived.(a) <- true;
-      work := a :: !work
-    end
-  in
-  let fire ri =
-    match st.rule_arr.(ri).ihead with
-    | IAtom h -> derive h
-    | IFalse | IWeak _ -> ()
-    | IChoice (_, ats, _) -> Array.iter (fun a -> if in_m a then derive a) ats
-  in
-  for ri = 0 to nr - 1 do
-    let r = st.rule_arr.(ri) in
-    rem_pos.(ri) <- Array.length r.ipos;
-    neg_ok.(ri) <- Array.for_all (fun a -> not (in_m a)) r.ineg;
-    if neg_ok.(ri) && rem_pos.(ri) = 0 then fire ri
-  done;
-  while !work <> [] do
-    match !work with
-    | [] -> ()
-    | a :: rest ->
-      work := rest;
-      List.iter
-        (fun ri ->
-          rem_pos.(ri) <- rem_pos.(ri) - 1;
-          if rem_pos.(ri) = 0 && neg_ok.(ri) then fire ri)
-        st.pos_occ.(a)
-  done;
+  let n = Array.length st.pr.atoms in
+  let nr = Array.length st.pr.rules in
+  least_model st ~against:in_m ~chosen:in_m st.derived;
   let least_equals_m = ref true in
   for i = 0 to n - 1 do
-    if derived.(i) <> in_m i then least_equals_m := false
+    if st.derived.(i) <> in_m i then least_equals_m := false
   done;
   (* constraints and cardinality bounds, using the live body counters: at a
      complete assignment, sat_cnt = nbody iff the body holds in the model *)
   let bounds_ok () =
     let ok = ref true in
     for ri = 0 to nr - 1 do
-      if !ok && st.sat_cnt.(ri) = st.nbody.(ri) then
-        match st.rule_arr.(ri).ihead with
+      if !ok && st.sat_cnt.(ri) = st.pr.nbody.(ri) then
+        match st.pr.rules.(ri).ihead with
         | IFalse -> ok := false
         | IAtom _ | IWeak _ -> ()
         | IChoice (lower, ats, upper) ->
@@ -476,9 +515,15 @@ let is_stable st =
 let extract_model st =
   let m = ref Atom.Set.empty in
   Array.iteri
-    (fun i v -> if v = True then m := Atom.Set.add st.atoms.(i) !m)
+    (fun i v -> if v = True then m := Atom.Set.add st.pr.atoms.(i) !m)
     st.assignment;
   !m
+
+(** Does the body of ground rule [r] hold in [m]? *)
+let body_holds m (r : Grounder.ground_rule) =
+  List.for_all (fun a -> Atom.Set.mem a m) r.gpos
+  && List.for_all (fun a -> not (Atom.Set.mem a m)) r.gneg
+  && List.for_all (fun c -> Query.count_holds m c) r.gcounts
 
 (** Enumerate stable models over a prebuilt search state, up to [limit].
     [wellfounded:false] disables the well-founded narrowing (exposed for
@@ -492,15 +537,9 @@ let solve_state ?limit ?(wellfounded = true) (st : search_state) : model list =
     List.for_all
       (fun (r : Grounder.ground_rule) ->
         match r.ghead with
-        | Grounder.GFalse ->
-          let body_sat =
-            List.for_all (fun a -> Atom.Set.mem a m) r.gpos
-            && List.for_all (fun a -> not (Atom.Set.mem a m)) r.gneg
-            && List.for_all (fun c -> Query.count_holds m c) r.gcounts
-          in
-          not body_sat
+        | Grounder.GFalse -> not (body_holds m r)
         | Grounder.GAtom _ | Grounder.GWeak _ | Grounder.GChoice _ -> true)
-      st.count_rules
+      st.pr.counts
   in
   let record () =
     if is_stable st then begin
@@ -581,7 +620,7 @@ let solve_state ?limit ?(wellfounded = true) (st : search_state) : model list =
 let solve_ground ?limit ?wellfounded (gp : Grounder.ground_program) : model list
     =
   Obs.span "asp.solve" @@ fun () ->
-  solve_state ?limit ?wellfounded (index_program gp)
+  solve_state ?limit ?wellfounded (extend (prepare gp) [])
 
 (** Enumerate stable models of a (non-ground) program. *)
 let solve ?limit ?wellfounded (p : Program.t) : model list =
@@ -601,163 +640,7 @@ let first_answer_set (p : Program.t) : model option =
 let has_answer_set_ground (gp : Grounder.ground_program) : bool =
   match solve_ground ~limit:1 gp with [] -> false | _ -> true
 
-let first_answer_set_ground (gp : Grounder.ground_program) : model option =
-  match solve_ground ~limit:1 gp with [] -> None | m :: _ -> Some m
-
 (* -- Delta solving over a prepared core --------------------------------- *)
-
-(* The compiled, immutable slice of a ground program: atoms, ids, indexed
-   rules, occurrence lists. Everything mutable in [search_state] is
-   excluded, so one [prepared] value can back any number of concurrent
-   extensions. *)
-type prepared = {
-  pr_atoms : Atom.t array;
-  pr_id_of : (Atom.t, int) Hashtbl.t;  (* never mutated after [prepare] *)
-  pr_rule_arr : irule array;
-  pr_counts : Grounder.ground_rule list;
-  pr_rules_by_head : int list array;
-  pr_pos_occ : int list array;
-  pr_neg_occ : int list array;
-  pr_nbody : int array;
-  pr_definite : bool;
-      (* every rule has a plain atom head, no negative body, no
-         aggregates: the program is definite, so its least model exists
-         and equals the grounder's derived base *)
-}
-
-let prepare (gp : Grounder.ground_program) : prepared =
-  let st = index_program gp in
-  {
-    pr_atoms = st.atoms;
-    pr_id_of = st.id_of;
-    pr_rule_arr = st.rule_arr;
-    pr_counts = st.count_rules;
-    pr_rules_by_head = st.rules_by_head;
-    pr_pos_occ = st.pos_occ;
-    pr_neg_occ = st.neg_occ;
-    pr_nbody = st.nbody;
-    pr_definite =
-      st.count_rules = []
-      && List.for_all
-           (fun (r : Grounder.ground_rule) ->
-             r.gneg = []
-             &&
-             match r.ghead with
-             | Grounder.GAtom _ -> true
-             | Grounder.GFalse | Grounder.GWeak _ | Grounder.GChoice _ ->
-               false)
-           gp.grules;
-  }
-
-(** A fresh search state over [pr]'s program extended with [delta] ground
-    rules: the core compilation is shared untouched, only the delta rules
-    are compiled (with ids above the core's), and all mutable search
-    arrays are freshly allocated. Consing delta occurrences onto the
-    copied occurrence slots builds new list cells over the core's
-    immutable tails, so the prepared value is never written. *)
-let extend (pr : prepared) (delta : Grounder.ground_rule list) : search_state =
-  let n0 = Array.length pr.pr_atoms in
-  let new_atoms = ref [] in
-  let n_new = ref 0 in
-  let local = Hashtbl.create 16 in
-  let id a =
-    match Hashtbl.find_opt pr.pr_id_of a with
-    | Some i -> i
-    | None -> (
-      match Hashtbl.find_opt local a with
-      | Some i -> i
-      | None ->
-        let i = n0 + !n_new in
-        Hashtbl.add local a i;
-        new_atoms := a :: !new_atoms;
-        incr n_new;
-        i)
-  in
-  (* aggregate-bearing delta rules are model-checked like the core's; their
-     body atoms need no ids — an atom no plain rule can derive is never
-     true in a stable model, so checking it against the extracted model
-     coincides with the full-program search *)
-  let count_delta, plain_delta =
-    List.partition (fun (r : Grounder.ground_rule) -> r.gcounts <> []) delta
-  in
-  let darr =
-    Array.of_list
-      (List.map
-         (fun (r : Grounder.ground_rule) ->
-           {
-             ihead =
-               (match r.ghead with
-               | Grounder.GAtom a -> IAtom (id a)
-               | Grounder.GFalse -> IFalse
-               | Grounder.GWeak w -> IWeak w
-               | Grounder.GChoice (l, ats, u) ->
-                 IChoice (l, Array.of_list (List.map id ats), u));
-             ipos = Array.of_list (List.map id r.gpos);
-             ineg = Array.of_list (List.map id r.gneg);
-           })
-         plain_delta)
-  in
-  let n = n0 + !n_new in
-  let atoms =
-    if !n_new = 0 then pr.pr_atoms
-    else begin
-      let fill = List.hd !new_atoms in
-      let arr = Array.make n fill in
-      Array.blit pr.pr_atoms 0 arr 0 n0;
-      (* [new_atoms] lists ids in decreasing order *)
-      let i = ref (n - 1) in
-      List.iter
-        (fun a ->
-          arr.(!i) <- a;
-          decr i)
-        !new_atoms;
-      arr
-    end
-  in
-  let nr0 = Array.length pr.pr_rule_arr in
-  let rule_arr = Array.append pr.pr_rule_arr darr in
-  let nr = Array.length rule_arr in
-  let rules_by_head = Array.make n [] in
-  let pos_occ = Array.make n [] in
-  let neg_occ = Array.make n [] in
-  Array.blit pr.pr_rules_by_head 0 rules_by_head 0 n0;
-  Array.blit pr.pr_pos_occ 0 pos_occ 0 n0;
-  Array.blit pr.pr_neg_occ 0 neg_occ 0 n0;
-  let nbody = Array.make nr 0 in
-  Array.blit pr.pr_nbody 0 nbody 0 nr0;
-  Array.iteri
-    (fun k r ->
-      let ri = nr0 + k in
-      (match r.ihead with
-      | IAtom h -> rules_by_head.(h) <- ri :: rules_by_head.(h)
-      | IFalse | IWeak _ -> ()
-      | IChoice (_, ats, _) ->
-        Array.iter (fun a -> rules_by_head.(a) <- ri :: rules_by_head.(a)) ats);
-      nbody.(ri) <- Array.length r.ipos + Array.length r.ineg;
-      Array.iter (fun a -> pos_occ.(a) <- ri :: pos_occ.(a)) r.ipos;
-      Array.iter (fun a -> neg_occ.(a) <- ri :: neg_occ.(a)) r.ineg)
-    darr;
-  {
-    atoms;
-    id_of = pr.pr_id_of;
-    rules_by_head;
-    rule_arr;
-    assignment = Array.make n Unknown;
-    count_rules = (if count_delta = [] then pr.pr_counts
-                   else pr.pr_counts @ count_delta);
-    pos_occ;
-    neg_occ;
-    nbody;
-    sat_cnt = Array.make nr 0;
-    blk_cnt = Array.make nr 0;
-    source = Array.make n (-1);
-    queue = Array.make (n + 1) 0;
-    qhead = 0;
-    qtail = 0;
-    gl_derived = Array.make n false;
-    gl_rem = Array.make nr 0;
-    gl_neg_ok = Array.make nr false;
-  }
 
 (* When the prepared core is definite, the extension stays decidable in
    one pass over the delta: a definite program always has its least
@@ -786,7 +669,7 @@ let classify_definite_delta (delta : Grounder.ground_rule list) =
     skipping search entirely on the definite fast path. *)
 let has_answer_set_prepared ?wellfounded (pr : prepared)
     ~(delta : Grounder.ground_rule list) : bool =
-  match if pr.pr_definite then classify_definite_delta delta else `Unknown with
+  match if pr.definite then classify_definite_delta delta else `Unknown with
   | `Sat -> true
   | `Unsat -> false
   | `Unknown -> (
@@ -845,13 +728,7 @@ let model_cost (gp : Grounder.ground_program) (m : model) : int =
   List.fold_left
     (fun acc (r : Grounder.ground_rule) ->
       match r.ghead with
-      | Grounder.GWeak w ->
-        let body_sat =
-          List.for_all (fun a -> Atom.Set.mem a m) r.gpos
-          && List.for_all (fun a -> not (Atom.Set.mem a m)) r.gneg
-          && List.for_all (fun c -> Query.count_holds m c) r.gcounts
-        in
-        if body_sat then acc + w else acc
+      | Grounder.GWeak w -> if body_holds m r then acc + w else acc
       | Grounder.GAtom _ | Grounder.GFalse | Grounder.GChoice _ -> acc)
     0 gp.grules
 

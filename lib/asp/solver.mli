@@ -3,14 +3,25 @@
     complete assignment. Sound and complete for normal rules, constraints
     and bounded choice rules; weak constraints rank models.
 
+    Every solve runs on one compiled form: {!prepare} indexes a ground
+    program once (atom ids in {!Atom.Set} order, integer-indexed rules,
+    occurrence lists, body counts), and a search over it, extended by
+    any per-request delta rules, allocates only its mutable arrays.
+    {!solve_ground} is the search over [prepare gp] with no delta.
+
+    The well-founded bounds and the stability check are least models of
+    reducts, computed by one worklist loop with a counter per rule of the
+    positive body atoms still missing: the alternating fixpoint runs it
+    twice a round, the stability check once at each complete assignment.
+
     Unit propagation is {e counter-based} in the style of two-watched
-    literals: ground rules are integer-indexed, each keeps satisfied- and
-    blocked-literal counters that are updated through per-atom occurrence
-    lists, so an assignment touches only the rules it appears in instead
-    of rescanning the program. Source pointers track one non-blocked
-    supporting rule per true atom and propagate unsupportedness eagerly.
-    Search statistics (propagations, decisions, conflicts, GL checks) are
-    accumulated in the [asp.solve.*] [Obs] counters. *)
+    literals: each rule keeps satisfied- and blocked-literal counters that
+    are updated through per-atom occurrence lists, so an assignment
+    touches only the rules it appears in instead of rescanning the
+    program. Source pointers track one non-blocked supporting rule per
+    true atom and propagate unsupportedness eagerly. Search statistics
+    (propagations, decisions, conflicts, GL checks) are accumulated in the
+    [asp.solve.*] [Obs] counters. *)
 
 (** A stable model: the set of atoms assigned true. *)
 type model = Atom.Set.t
@@ -46,9 +57,6 @@ val first_answer_set : Program.t -> model option
     [has_answer_set p] when the core is [Grounder.ground p]. *)
 val has_answer_set_ground : Grounder.ground_program -> bool
 
-(** {!first_answer_set} over a pre-grounded core. *)
-val first_answer_set_ground : Grounder.ground_program -> model option
-
 (** {2 Delta solving over a prepared core}
 
     For the serve hot path: compile a ground core once with {!prepare},
@@ -58,9 +66,9 @@ val first_answer_set_ground : Grounder.ground_program -> model option
     the extension rules when the frozen core needs no repair. *)
 
 type prepared
-(** The compiled, immutable slice of a ground program (atom ids, indexed
-    rules, occurrence lists). Never mutated after {!prepare}; safe to
-    share across threads and extend concurrently. *)
+(** The compiled form of a ground program (atom ids, indexed rules,
+    occurrence lists, body counts). Never mutated after {!prepare}; safe
+    to share across threads and extend concurrently. *)
 
 val prepare : Grounder.ground_program -> prepared
 

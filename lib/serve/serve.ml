@@ -18,14 +18,12 @@ module Request = struct
   type t = {
     context : Asp.Program.t;
     options : string list;
-    priority : int;
     deadline : float option;
     tenant : string;
   }
 
-  let make ?(priority = 0) ?deadline ?(tenant = "default") ~context ~options
-      () =
-    { context; options; priority; deadline; tenant }
+  let make ?deadline ?(tenant = "default") ~context ~options () =
+    { context; options; deadline; tenant }
 end
 
 module Decision = struct
@@ -438,33 +436,12 @@ let decide t (req : Request.t) : Response.t =
   }
 
 module Batch = struct
-  (* Higher priority first; within a priority class, earliest deadline
-     first (no deadline sorts last — it can never be missed); remaining
-     ties broken by input position so the schedule (not just the output)
-     is deterministic at every pool size. *)
-  let schedule (arr : Request.t array) : int array =
-    let deadline i =
-      match arr.(i).Request.deadline with Some d -> d | None -> infinity
-    in
-    let order = Array.init (Array.length arr) Fun.id in
-    Array.sort
-      (fun i j ->
-        let c =
-          Int.compare arr.(j).Request.priority arr.(i).Request.priority
-        in
-        if c <> 0 then c
-        else
-          let c = Float.compare (deadline i) (deadline j) in
-          if c <> 0 then c else Int.compare i j)
-      order;
-    order
-
   let run ?pool t (reqs : Request.t list) : Response.t list =
     match reqs with
     | [] -> []
     | _ ->
       (* the batch runs under one trace scope; each request gets its
-         own child ID at submission time (deterministic in schedule
+         own child ID at submission time (deterministic in input
          order), installed around its decide on whichever pool domain
          runs it — IDs stay unique per request and chain to the batch *)
       Obs.Trace_context.scope @@ fun _batch_id ->
@@ -472,19 +449,15 @@ module Batch = struct
         ~attrs:[ ("requests", string_of_int (List.length reqs)) ]
       @@ fun () ->
       let pool = match pool with Some p -> p | None -> Par.Config.pool () in
-      let arr = Array.of_list reqs in
-      let order = schedule arr in
-      let scheduled =
-        Array.map (fun i -> (Obs.Trace_context.child_id (), arr.(i))) order
+      let submitted =
+        Array.map
+          (fun req -> (Obs.Trace_context.child_id (), req))
+          (Array.of_list reqs)
       in
-      let results =
-        Par.parallel_map pool
-          (fun (id, req) -> Obs.Trace_context.with_id id (fun () -> decide t req))
-          scheduled
-      in
-      let out = Array.make (Array.length arr) results.(0) in
-      Array.iteri (fun k i -> out.(i) <- results.(k)) order;
-      Array.to_list out
+      Array.to_list
+        (Par.parallel_map pool
+           (fun (id, req) -> Obs.Trace_context.with_id id (fun () -> decide t req))
+           submitted)
 end
 
 (* ---- sharded multi-tenant serving ------------------------------------- *)

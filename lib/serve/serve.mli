@@ -94,9 +94,6 @@ module Request : sig
     options : string list;
         (** candidate decisions in preference order; last is the
             fail-safe *)
-    priority : int;
-        (** batch scheduling priority (higher first); does not affect
-            the decision *)
     deadline : float option;
         (** latency budget in seconds; exceeding it is only {e reported}
             (via {!Response.t.deadline_missed}), never enforced *)
@@ -106,7 +103,6 @@ module Request : sig
   }
 
   val make :
-    ?priority:int ->
     ?deadline:float ->
     ?tenant:string ->
     context:Asp.Program.t ->
@@ -116,8 +112,8 @@ module Request : sig
 end
 
 module Decision : sig
-  (** The single decision payload of the serving API — also aliased as
-      [Agenp.Decision] and folded into the PDP/PEP surfaces. *)
+  (** The single decision payload of the serving API, which the AGenP
+      PDP and PEP use as it is. *)
   type t = {
     chosen : string;
     valid_options : string list;
@@ -298,18 +294,11 @@ val stats_to_json : t -> string
 val openmetrics : t -> string
 
 module Batch : sig
-  (** The deterministic dispatch order over a request array: by priority
-      (higher first), then earliest deadline (no deadline last), then
-      input position. Exposed for scheduling tests; {!run} dispatches in
-      exactly this order. *)
-  val schedule : Request.t array -> int array
-
-  (** Fan a batch across [pool] (default {!Par.Config.pool}), scheduling
-      higher-priority requests first and, within a priority class,
-      earlier-deadline requests first, and return responses in {e input}
-      order. Decisions are deterministic at every pool size — each
-      request is evaluated in isolation and caches never change
-      outcomes; provenance and latency naturally vary with scheduling.
+  (** Fan a batch across [pool] (default {!Par.Config.pool}) in input
+      order and return responses in input order. Decisions are
+      deterministic at every pool size — each request is evaluated in
+      isolation and caches never change outcomes; provenance and latency
+      naturally vary with scheduling.
 
       The batch runs under one trace scope; every request is assigned
       its own child trace ID at submission (so IDs are unique across

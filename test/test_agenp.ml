@@ -110,6 +110,22 @@ let test_context_repo () =
   Agenp.Context_repo.update repo (Asp.Parser.parse_program "b.");
   Alcotest.(check bool) "no change" false (Agenp.Context_repo.changed repo)
 
+(* the history keeps the last 256 contexts an update replaced, newest
+   first: after updates to c(1)..c(300) that is c(299) down to c(44) *)
+let test_context_repo_history () =
+  let ctx i = Asp.Parser.parse_program (Printf.sprintf "c(%d)." i) in
+  let repo = Agenp.Context_repo.create () in
+  for i = 1 to 300 do
+    Agenp.Context_repo.update repo (ctx i)
+  done;
+  let history = Agenp.Context_repo.history repo in
+  Alcotest.(check int) "256 contexts" 256 (List.length history);
+  Alcotest.(check bool) "newest first" true
+    (List.equal Asp.Program.equal (List.init 256 (fun k -> ctx (299 - k)))
+       history);
+  Alcotest.(check bool) "current is the last update" true
+    (Asp.Program.equal (ctx 300) (Agenp.Context_repo.current repo))
+
 let test_pip_merge () =
   let pip = Agenp.Pip.create () in
   Agenp.Pip.register pip "satellite" (fun () ->
@@ -660,6 +676,8 @@ let () =
           Alcotest.test_case "pdp valid option" `Quick test_pdp_fallback;
           Alcotest.test_case "pdp fallback" `Quick test_pdp_fallback_used;
           Alcotest.test_case "context repo" `Quick test_context_repo;
+          Alcotest.test_case "context repo history" `Quick
+            test_context_repo_history;
           Alcotest.test_case "pip merge" `Quick test_pip_merge;
           Alcotest.test_case "pcp violations" `Quick test_pcp_violations;
           Alcotest.test_case "pcp quality" `Quick test_pcp_quality;

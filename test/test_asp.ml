@@ -263,14 +263,13 @@ let test_wellfounded_seed_propagations () =
     (counter "asp.solve.propagations");
   Alcotest.(check int) "four atoms in the base" 4 (Asp.Grounder.atom_count gp)
 
+(* the well-founded bounds leave q and r open (not total) and p true:
+   the search finds both models, each with p *)
 let test_wellfounded_bounds () =
   let gp = Asp.Grounder.ground (parse "p. q :- not r. r :- not q.") in
-  let b = Asp.Wellfounded.compute gp in
-  Alcotest.(check bool) "p definitely true" true
-    (Asp.Atom.Set.mem (atom "p") b.Asp.Wellfounded.lower);
-  Alcotest.(check bool) "q possible" true
-    (Asp.Atom.Set.mem (atom "q") b.Asp.Wellfounded.upper);
-  Alcotest.(check bool) "not total" false (Asp.Wellfounded.is_total b)
+  Alcotest.(check (list (list string))) "two models, both with p"
+    [ [ "p"; "q" ]; [ "p"; "r" ] ]
+    (List.sort compare (List.map model_strings (Asp.Solver.solve_ground gp)))
 
 let test_graph_coloring () =
   let prog =
@@ -587,13 +586,17 @@ let test_justify_all_covers_model () =
 
 (* ---- Differential testing against a brute-force reference ---- *)
 
-(* An independent stable-model checker for propositional normal programs
-   with constraints: enumerate all interpretations; M is stable iff the
-   least model of the Gelfond-Lifschitz reduct equals M and no constraint
-   body holds in M. Kept deliberately naive and separate from the solver
-   implementation. *)
-let reference_stable_models (rules : (string option * string list * string list) list)
-    (atoms : string list) : string list list =
+(* An independent stable-model checker for propositional programs with
+   normal rules ([`Atom]), constraints ([`False]) and choice rules
+   ([`Choice (lower, elements, upper)], elements distinct): enumerate all
+   interpretations; M is stable iff the least model of the
+   Gelfond-Lifschitz reduct equals M, no constraint body holds in M, and
+   every choice rule whose body holds in M has between [lower] and
+   [upper] of its elements in M. In the reduct, a rule whose negative
+   body holds in M keeps its positive body, and a choice rule derives
+   each of its elements in M. Kept deliberately naive and separate from
+   the solver implementation. *)
+let reference_stable_models rules (atoms : string list) : string list list =
   let subsets =
     List.fold_left
       (fun acc a -> acc @ List.map (fun s -> a :: s) acc)
@@ -601,28 +604,39 @@ let reference_stable_models (rules : (string option * string list * string list)
   in
   let stable m =
     let in_m a = List.mem a m in
-    (* constraints: no body may hold *)
-    let constraint_ok =
+    let body_holds pos neg =
+      List.for_all in_m pos && List.for_all (fun a -> not (in_m a)) neg
+    in
+    (* constraints and choice bounds, where the body holds *)
+    let bodies_ok =
       List.for_all
         (fun (head, pos, neg) ->
+          (not (body_holds pos neg))
+          ||
           match head with
-          | Some _ -> true
-          | None ->
-            not
-              (List.for_all in_m pos
-              && List.for_all (fun a -> not (in_m a)) neg))
+          | `Atom _ -> true
+          | `False -> false
+          | `Choice (lower, elements, upper) ->
+            let k = List.length (List.filter in_m elements) in
+            (match lower with Some l -> k >= l | None -> true)
+            && match upper with Some u -> k <= u | None -> true)
         rules
     in
-    if not constraint_ok then false
+    if not bodies_ok then false
     else begin
       (* least model of the reduct *)
       let reduct =
-        List.filter_map
+        List.concat_map
           (fun (head, pos, neg) ->
-            match head with
-            | Some h when List.for_all (fun a -> not (in_m a)) neg ->
-              Some (h, pos)
-            | _ -> None)
+            if not (List.for_all (fun a -> not (in_m a)) neg) then []
+            else
+              match head with
+              | `Atom h -> [ (h, pos) ]
+              | `False -> []
+              | `Choice (_, elements, _) ->
+                List.filter_map
+                  (fun e -> if in_m e then Some (e, pos) else None)
+                  elements)
           rules
       in
       let derived = ref [] in
@@ -649,46 +663,72 @@ let random_propositional_program =
   QCheck2.Gen.(
     let atom_g = oneofl [ "a"; "b"; "c"; "d" ] in
     let lit_list = list_size (int_range 0 2) atom_g in
-    let rule_g =
-      map3
-        (fun head pos neg -> (head, pos, neg))
-        (oneof [ map Option.some atom_g; return None ])
-        lit_list lit_list
+    let bound = option (int_range 0 2) in
+    let head_g =
+      frequency
+        [
+          (2, map (fun a -> `Atom a) atom_g);
+          (1, return `False);
+          ( 1,
+            map3
+              (fun lower elements upper ->
+                `Choice (lower, List.sort_uniq compare elements, upper))
+              bound
+              (list_size (int_range 1 3) atom_g)
+              bound );
+        ]
     in
-    list_size (int_range 1 6) rule_g)
+    let rule_g =
+      map3 (fun head pos neg -> (head, pos, neg)) head_g lit_list lit_list
+    in
+    (* drop degenerate empty-body constraints *)
+    map
+      (List.filter (fun (h, p, n) -> h <> `False || p <> [] || n <> []))
+      (list_size (int_range 1 6) rule_g))
 
 let rules_to_source rules =
   String.concat " "
     (List.map
        (fun (head, pos, neg) ->
-         let body =
-           List.map (fun a -> a) pos @ List.map (fun a -> "not " ^ a) neg
+         let body = pos @ List.map (fun a -> "not " ^ a) neg in
+         let head =
+           match head with
+           | `Atom h -> h
+           | `False -> ""
+           | `Choice (lower, elements, upper) ->
+             let bound = Option.fold ~none:"" ~some:string_of_int in
+             Printf.sprintf "%s { %s } %s" (bound lower)
+               (String.concat " ; " elements)
+               (bound upper)
          in
-         match (head, body) with
-         | Some h, [] -> h ^ "."
-         | Some h, body -> h ^ " :- " ^ String.concat ", " body ^ "."
-         | None, [] -> ":- ." (* never generated: constraints need a body *)
-         | None, body -> ":- " ^ String.concat ", " body ^ ".")
+         match body with
+         | [] -> head ^ "."
+         | body -> head ^ " :- " ^ String.concat ", " body ^ ".")
        rules)
+
+let sorted_model_strings models =
+  List.map (fun m -> List.sort compare (model_strings m)) models
+  |> List.sort compare
 
 let prop_solver_matches_reference =
   QCheck2.Test.make ~name:"solver agrees with brute-force reference" ~count:300
-    random_propositional_program (fun rules ->
-      (* drop degenerate empty-body constraints *)
-      let rules =
-        List.filter (fun (h, p, n) -> h <> None || p <> [] || n <> []) rules
-      in
+    ~print:rules_to_source random_propositional_program (fun rules ->
       QCheck2.assume (rules <> []);
-      let source = rules_to_source rules in
       let solver_models =
-        Asp.Solver.solve (parse source)
-        |> List.map (fun m ->
-               List.map Asp.Atom.to_string (Asp.Atom.Set.elements m)
-               |> List.sort compare)
-        |> List.sort compare
+        sorted_model_strings (Asp.Solver.solve (parse (rules_to_source rules)))
       in
-      let reference = reference_stable_models rules [ "a"; "b"; "c"; "d" ] in
-      solver_models = reference)
+      solver_models = reference_stable_models rules [ "a"; "b"; "c"; "d" ])
+
+(* the well-founded seeding only narrows the search: with it off, the
+   search alone finds the same models *)
+let prop_wellfounded_seed_preserves_models =
+  QCheck2.Test.make ~name:"solve without well-founded seeding = with it"
+    ~count:300 ~print:rules_to_source random_propositional_program
+    (fun rules ->
+      QCheck2.assume (rules <> []);
+      let gp = Asp.Grounder.ground (parse (rules_to_source rules)) in
+      sorted_model_strings (Asp.Solver.solve_ground ~wellfounded:false gp)
+      = sorted_model_strings (Asp.Solver.solve_ground gp))
 
 (* ---- Differential testing of the grounder itself ---- *)
 
@@ -870,8 +910,8 @@ let prop_solver_models_match_ground_reference =
           (fun (gr : Asp.Grounder.ground_rule) ->
             let head =
               match gr.Asp.Grounder.ghead with
-              | Asp.Grounder.GAtom a -> Some (Asp.Atom.to_string a)
-              | _ -> None
+              | Asp.Grounder.GAtom a -> `Atom (Asp.Atom.to_string a)
+              | _ -> `False
             in
             ( head,
               List.map Asp.Atom.to_string gr.Asp.Grounder.gpos,
@@ -898,10 +938,7 @@ let canonical_ground (gp : Asp.Grounder.ground_program) =
   ( List.map Asp.Atom.to_string (Asp.Atom.Set.elements gp.Asp.Grounder.base),
     normalized_rule_strings gp.Asp.Grounder.grules )
 
-let sorted_ground_models gp =
-  Asp.Solver.solve_ground gp
-  |> List.map (fun m -> List.sort compare (model_strings m))
-  |> List.sort compare
+let sorted_ground_models gp = sorted_model_strings (Asp.Solver.solve_ground gp)
 
 (* the context facts grounded against a random core: EDB atoms (p/1,
    q/2) and IDB atoms (h/1, r/1) alike — asserting an atom the core
@@ -1121,6 +1158,7 @@ let qcheck_cases =
       prop_choice_models_within_bounds;
       prop_models_satisfy_constraints;
       prop_solver_matches_reference;
+      prop_wellfounded_seed_preserves_models;
       prop_grounder_matches_naive_reference;
       prop_solver_models_match_ground_reference;
       prop_incremental_matches_full_reground;

@@ -31,8 +31,8 @@ let snow = ctx "weather(snow)."
 let sun = ctx "weather(sun)."
 let fog = ctx "weather(fog)."
 
-let request ?priority ?deadline context options =
-  Serve.Request.make ?priority ?deadline ~context ~options ()
+let request ?deadline context options =
+  Serve.Request.make ?deadline ~context ~options ()
 
 let decision_t =
   Alcotest.testable Serve.Decision.pp Serve.Decision.equal
@@ -278,52 +278,28 @@ let differential_prop =
 (* ---- batch determinism ------------------------------------------------ *)
 
 let batch_requests () =
-  (* priorities deliberately shuffled; decisions must come back in input
-     order at every pool size *)
+  (* decisions must come back in input order at every pool size *)
   [
-    request ~priority:1 snow [ "accept"; "reject" ];
-    request ~priority:5 sun [ "accept"; "reject" ];
-    request ~priority:3 fog [ "accept"; "reject" ];
-    request ~priority:5 snow [ "reject"; "accept" ];
-    request ~priority:0 sun [ "reject" ];
-    request ~priority:2 snow [ "accept"; "reject" ];
+    request snow [ "accept"; "reject" ];
+    request sun [ "accept"; "reject" ];
+    request fog [ "accept"; "reject" ];
+    request snow [ "reject"; "accept" ];
+    request sun [ "reject" ];
+    request snow [ "accept"; "reject" ];
   ]
-
-(* the dispatch order itself: priority first, then earliest deadline
-   (requests without one go last), then input position *)
-let test_batch_schedule_deadlines () =
-  let reqs =
-    [|
-      request ~priority:1 snow [ "accept" ];
-      (* 0 *)
-      request ~priority:5 ~deadline:0.9 sun [ "accept" ];
-      (* 1 *)
-      request ~priority:5 ~deadline:0.1 fog [ "accept" ];
-      (* 2 *)
-      request ~priority:5 snow [ "accept" ];
-      (* 3: no deadline, last in its class *)
-      request ~priority:5 ~deadline:0.1 sun [ "accept" ];
-      (* 4: ties with 2 on (priority, deadline); input order breaks it *)
-      request ~priority:1 ~deadline:0.5 fog [ "accept" ];
-      (* 5 *)
-    |]
-  in
-  Alcotest.(check (array int))
-    "priority desc, deadline asc, index asc" [| 2; 4; 1; 3; 5; 0 |]
-    (Serve.Batch.schedule reqs)
 
 let batch_deadline_requests () =
   [
-    request ~priority:1 ~deadline:0.2 snow [ "accept"; "reject" ];
-    request ~priority:5 sun [ "accept"; "reject" ];
-    request ~priority:5 ~deadline:0.1 fog [ "accept"; "reject" ];
-    request ~priority:5 ~deadline:0.4 snow [ "reject"; "accept" ];
-    request ~priority:1 sun [ "reject" ];
-    request ~priority:1 ~deadline:0.2 snow [ "accept"; "reject" ];
+    request ~deadline:0.2 snow [ "accept"; "reject" ];
+    request sun [ "accept"; "reject" ];
+    request ~deadline:0.1 fog [ "accept"; "reject" ];
+    request ~deadline:0.4 snow [ "reject"; "accept" ];
+    request sun [ "reject" ];
+    request ~deadline:0.2 snow [ "accept"; "reject" ];
   ]
 
-(* deadline-aware scheduling must not disturb input-order responses or
-   decisions at any pool size *)
+(* deadlines must not disturb input-order responses or decisions at any
+   pool size *)
 let test_batch_deadline_determinism () =
   let gpm = gpm_of sun_only_grammar in
   let reqs = batch_deadline_requests () in
@@ -655,8 +631,8 @@ let test_metrics_silent_client () =
 
 (* ---- the multi-tenant cluster ----------------------------------------- *)
 
-let treq ?priority tenant context options =
-  Serve.Request.make ?priority ~tenant ~context ~options ()
+let treq tenant context options =
+  Serve.Request.make ~tenant ~context ~options ()
 
 let served_exn = function
   | Serve.Cluster.Served r -> r
@@ -899,8 +875,6 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "determinism" `Quick test_batch_determinism;
-          Alcotest.test_case "deadline schedule" `Quick
-            test_batch_schedule_deadlines;
           Alcotest.test_case "deadline determinism" `Quick
             test_batch_deadline_determinism;
         ] );
