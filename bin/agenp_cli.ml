@@ -205,6 +205,9 @@ let run obs f =
 
 let solve_cmd obs file models optimal =
   run obs @@ fun () ->
+  (match models with
+  | Some n when n < 1 -> raise (Cli_input_error "--models must be at least 1")
+  | _ -> ());
   let program = Asp.Parser.parse_program (read_file file) in
   if optimal then begin
     match Asp.Solver.solve_optimal program with
@@ -719,17 +722,20 @@ let repl_cmd () =
         let limit =
           match rest with n :: _ -> int_of_string_opt n | [] -> None
         in
-        (try
-           match Asp.Solver.solve ?limit !program with
-           | [] -> Fmt.pr "UNSATISFIABLE@."
-           | ms ->
-             List.iteri
-               (fun i m ->
-                 Fmt.pr "Answer %d: %s@." (i + 1) (Asp.Solver.model_to_string m))
-               ms
-         with
-        | Asp.Grounder.Unsafe_rule r ->
-          Fmt.pr "unsafe rule: %a@." Asp.Rule.pp r);
+        (match limit with
+        | Some n when n < 1 -> Fmt.pr "the model limit must be at least 1@."
+        | _ -> (
+          try
+            match Asp.Solver.solve ?limit !program with
+            | [] -> Fmt.pr "UNSATISFIABLE@."
+            | ms ->
+              List.iteri
+                (fun i m ->
+                  Fmt.pr "Answer %d: %s@." (i + 1)
+                    (Asp.Solver.model_to_string m))
+                ms
+          with Asp.Grounder.Unsafe_rule r ->
+            Fmt.pr "unsafe rule: %a@." Asp.Rule.pp r));
         loop ()
       | ":optimal" :: _ ->
         (try

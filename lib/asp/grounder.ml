@@ -510,6 +510,16 @@ let run_plan b ~init (plan : jelt list) ~occ_of yield =
   in
   go init [] plan
 
+(** Predicate key at each join ordinal of a plan. *)
+let jpos_preds plan npos =
+  let arr = Array.make npos ("", 0) in
+  List.iter
+    (function
+      | JPos { atom; ord; _ } -> arr.(ord) <- (atom.Atom.pred, Atom.arity atom)
+      | JCheck _ | JBind _ -> ())
+    plan;
+  arr
+
 (* -- Phase 1: possible atoms ------------------------------------------ *)
 
 (** A derivation template: one (head atom, join plan) pair per normal-rule
@@ -520,7 +530,7 @@ type template = {
   t_head_iv : bool;
   t_head_ev : bool;
   t_plan : jelt list;
-  t_npos : int;
+  t_preds : (string * int) array;  (** predicate at each join ordinal *)
 }
 
 let template_of head body =
@@ -530,7 +540,7 @@ let template_of head body =
     t_head_iv = atom_has_interval head;
     t_head_ev = atom_has_binop head;
     t_plan = plan;
-    t_npos = npos;
+    t_preds = jpos_preds plan npos;
   }
 
 let templates_of_rule (r : Rule.t) : template list =
@@ -559,16 +569,46 @@ let derive_head b ~round t subst =
     | None -> ()
   else ignore (base_add b ~round a)
 
+(** Semi-naive delta rounds over [b] from [round] (the round after a
+    flush that derived atoms) to the fixpoint of [templates]. New atoms
+    in round [r] carry stamp [r]; round [r] instantiates each template
+    once per pivot position whose predicate the previous round derived,
+    with literals before the pivot ranging over rounds [<= r-2], the
+    pivot over exactly [r-1] (the top layer's delta), and literals after
+    it over [<= r-1] — the standard non-duplicating scheme, so each
+    combination is enumerated exactly once across the whole fixpoint. A
+    pivot whose predicate the previous round did not derive has an empty
+    delta, so skipping it changes nothing. Returns the first round left
+    unused. *)
+let delta_rounds b ~round templates =
+  let round = ref round and continue = ref true in
+  while !continue do
+    let r = !round in
+    Obs.fine_span "asp.ground.delta" (fun () ->
+        List.iter
+          (fun t ->
+            Array.iteri
+              (fun pivot key ->
+                if List.mem key b.delta_preds then
+                  run_plan b ~init:Term.subst_empty t.t_plan
+                    ~occ_of:(fun ord ->
+                      if ord < pivot then UpTo (r - 2)
+                      else if ord = pivot then Delta
+                      else UpTo (r - 1))
+                    (fun subst _ -> derive_head b ~round:r t subst))
+              t.t_preds)
+          templates);
+    continue := base_flush b ~round:r;
+    round := r + 1;
+    if !continue then Obs.Counter.incr c_delta_rounds
+  done;
+  !round
+
 (** Compute the possible-atom base by SCC-stratified semi-naive
     evaluation: templates are grouped by the dependency SCC of their head
     predicate and processed callees-first; each group starts with one
-    naive pass over the base built so far, then iterates delta rounds
-    until its fixpoint. New atoms in round [r] carry stamp [r]; a delta
-    round instantiates each template once per pivot position, with
-    literals before the pivot ranging over rounds [<= r-2], the pivot over
-    exactly [r-1], and literals after it over [<= r-1] — the standard
-    non-duplicating scheme, so each combination is enumerated exactly
-    once across the whole fixpoint. *)
+    naive pass over the base built so far, then runs {!delta_rounds}
+    until its fixpoint. *)
 let compute_possible_atoms (p : Program.t) : base =
   let b = base_create () in
   let graph = Dependency.build p in
@@ -606,29 +646,10 @@ let compute_possible_atoms (p : Program.t) : base =
                 run_plan b ~init:Term.subst_empty t.t_plan ~occ_of:any_occ
                   (fun subst _ -> derive_head b ~round:!round t subst))
               templates);
-        let continue = ref (base_flush b ~round:!round) in
+        let derived = base_flush b ~round:!round in
         incr round;
         Obs.Counter.incr c_delta_rounds;
-        (* semi-naive delta rounds until the group's fixpoint *)
-        while !continue do
-          let r = !round in
-          Obs.fine_span "asp.ground.delta" (fun () ->
-              List.iter
-                (fun t ->
-                  if t.t_npos > 0 then
-                    for pivot = 0 to t.t_npos - 1 do
-                      run_plan b ~init:Term.subst_empty t.t_plan
-                        ~occ_of:(fun ord ->
-                          if ord < pivot then UpTo (r - 2)
-                          else if ord = pivot then Delta
-                          else UpTo (r - 1))
-                        (fun subst _ -> derive_head b ~round:r t subst)
-                    done)
-                templates);
-          continue := base_flush b ~round:r;
-          incr round;
-          if !continue then Obs.Counter.incr c_delta_rounds
-        done)
+        if derived then round := delta_rounds b ~round:!round templates)
     groups;
   b
 
@@ -876,17 +897,21 @@ let instantiate_emissions b (p : Program.t) ~(emit : emission -> unit)
 let base_set_of b =
   Hashtbl.fold (fun a _ acc -> Atom.Set.add a acc) b.stamp Atom.Set.empty
 
+let set_ground_rules n =
+  if Obs.has_sinks () then Obs.set_attr "ground_rules" (string_of_int n)
+
 let log_grounded p ~n_out ~base_set =
   Obs.Counter.incr c_ground_rules ~by:n_out;
   Obs.Counter.incr c_possible_atoms ~by:(Atom.Set.cardinal base_set);
-  Obs.set_attr "ground_rules" (string_of_int n_out);
-  Obs.Log.debug "grounded program"
-    ~attrs:
-      [
-        ("rules", string_of_int (List.length (Program.rules p)));
-        ("ground_rules", string_of_int n_out);
-        ("possible_atoms", string_of_int (Atom.Set.cardinal base_set));
-      ]
+  set_ground_rules n_out;
+  if Obs.Log.(enabled Debug) then
+    Obs.Log.debug "grounded program"
+      ~attrs:
+        [
+          ("rules", string_of_int (List.length (Program.rules p)));
+          ("ground_rules", string_of_int n_out);
+          ("possible_atoms", string_of_int (Atom.Set.cardinal base_set));
+        ]
 
 (** Ground a program: compute the possible-atom base (semi-naive, indexed),
     then instantiate every rule against it with selectivity-ordered joins.
@@ -957,16 +982,6 @@ module Incremental = struct
         List.exists (function JPos _ -> true | _ -> false) e.e_plan)
       elems
 
-  (** Predicate key at each join ordinal of a plan. *)
-  let jpos_preds plan npos =
-    let arr = Array.make npos ("", 0) in
-    List.iter
-      (function
-        | JPos { atom; ord; _ } -> arr.(ord) <- (atom.Atom.pred, Atom.arity atom)
-        | JCheck _ | JBind _ -> ())
-      plan;
-    arr
-
   type frozen = {
     fz_rule : ground_rule;
     fz_negs : Atom.t list;
@@ -992,9 +1007,8 @@ module Incremental = struct
     k_inst : inst_rule array;  (** phase-2 plans with >= 1 join literal *)
     k_inst_by_pred : (string * int, (int * int) list ref) Hashtbl.t;
         (** body predicate -> (inst rule, pivot ordinal) pairs to re-join *)
-    k_templates : (template * (string * int) array) list;
-        (** phase-1 templates with >= 1 join literal, with per-ordinal
-            predicate keys *)
+    k_templates : template list;
+        (** phase-1 templates with >= 1 join literal *)
     k_inert : bool;
         (** asserted facts can have no consequences: nothing to join them
             into (no template, no phase-2 plan) and nothing they could
@@ -1087,11 +1101,7 @@ module Incremental = struct
     let k_templates =
       List.concat_map
         (fun r ->
-          List.filter_map
-            (fun t ->
-              if t.t_npos > 0 then Some (t, jpos_preds t.t_plan t.t_npos)
-              else None)
-            (templates_of_rule r))
+          List.filter (fun t -> t.t_preds <> [||]) (templates_of_rule r))
         p.rules
     in
     let base_set = base_set_of b in
@@ -1120,21 +1130,22 @@ module Incremental = struct
 
   (** One batch of context facts over a core: a child layer over the
       core's atom base (the core's is never written through, so one core
-      can back any number of batches at once), the batch's facts, and
-      the base atoms they derived. *)
+      can back any number of batches at once) holding the base atoms the
+      facts derived, and the batch's facts. *)
   type overlay = {
     o_core : core;
     o_base : base;  (** child layer over [o_core.k_base] *)
     o_facts : Atom.t list;  (** normalized, deduplicated, in order *)
-    o_fresh : Atom.t list;  (** base atoms the facts derived *)
   }
+
+  let value_fact (a : Atom.t) = List.for_all Term.is_value a.Atom.args
 
   (** Normalize an asserted fact the way the grounder normalizes emitted
       heads: intervals expand to their conjunctions, arithmetic is
       evaluated, and an unevaluable fact is silently inapplicable.
       @raise Invalid_argument on a non-ground fact. *)
   let normalize_fact (a : Atom.t) : Atom.t list =
-    if List.for_all Term.is_value a.Atom.args then [ a ]
+    if value_fact a then [ a ]
     else if not (Atom.is_ground a) then
       invalid_arg "Grounder.Incremental: context facts must be ground"
     else
@@ -1147,56 +1158,35 @@ module Incremental = struct
         (expand_atom a)
     else match Atom.eval a with Some ga -> [ ga ] | None -> []
 
+  let rec seen h a = function
+    | [] -> false
+    | (h', x) :: rest -> (h' = h && Atom.compare x a = 0) || seen h a rest
+
   (* the normalized facts, deduplicated in order; hash-prefiltered, so
-     full atom comparison only on a hash match *)
+     full atom comparison only on a hash match. A batch of value facts
+     is its own normalization. *)
   let normalize_facts (facts : Atom.t list) : Atom.t list =
-    let rec dedup seen acc = function
+    let rec dedup hashed acc = function
       | [] -> List.rev acc
       | a :: rest ->
         let h = Atom.hash a in
-        if List.exists (fun (h', x) -> h' = h && Atom.compare x a = 0) seen
-        then dedup seen acc rest
-        else dedup ((h, a) :: seen) (a :: acc) rest
+        if seen h a hashed then dedup hashed acc rest
+        else dedup ((h, a) :: hashed) (a :: acc) rest
     in
-    dedup [] [] (List.concat_map normalize_fact facts)
+    dedup [] []
+      (if List.for_all value_fact facts then facts
+       else List.concat_map normalize_fact facts)
 
   (** Assert [facts] over [core] in a fresh child layer and continue the
       core's semi-naive fixpoint on their consequences. *)
   let overlay core (facts : Atom.t list) : overlay =
     let b = base_child core.k_base in
     let facts = normalize_facts facts in
-    let fresh = ref [] in
-    if facts <> [] then begin
-      let r0 = core.k_next_round in
-      List.iter (fun a -> ignore (base_add b ~round:r0 a)) facts;
-      fresh := List.rev_append b.pending !fresh;
-      let continue = ref (base_flush b ~round:r0) in
-      let round = ref (r0 + 1) in
-      (* the pivot ranges over the previous round's delta (top layer
-         only), literals before it over rounds the pivot's round has not
-         seen, so each new combination is derived exactly once *)
-      while !continue do
-        let r = !round in
-        Obs.fine_span "asp.ground.delta" (fun () ->
-            List.iter
-              (fun ((t : template), preds) ->
-                for pivot = 0 to t.t_npos - 1 do
-                  if List.mem preds.(pivot) b.delta_preds then
-                    run_plan b ~init:Term.subst_empty t.t_plan
-                      ~occ_of:(fun ord ->
-                        if ord < pivot then UpTo (r - 2)
-                        else if ord = pivot then Delta
-                        else UpTo (r - 1))
-                      (fun subst _ -> derive_head b ~round:r t subst)
-                done)
-              core.k_templates);
-        fresh := List.rev_append b.pending !fresh;
-        continue := base_flush b ~round:r;
-        round := r + 1;
-        if !continue then Obs.Counter.incr c_delta_rounds
-      done
-    end;
-    { o_core = core; o_base = b; o_facts = facts; o_fresh = !fresh }
+    let r0 = core.k_next_round in
+    List.iter (fun a -> ignore (base_add b ~round:r0 a)) facts;
+    if base_flush b ~round:r0 then
+      ignore (delta_rounds b ~round:(r0 + 1) core.k_templates);
+    { o_core = core; o_base = b; o_facts = facts }
 
   (** The batch's own ground rules, in emission order — its fact rules,
       the brand-new phase-2 instances (via the [From] pivot scheme) and
@@ -1213,7 +1203,7 @@ module Incremental = struct
            o.o_facts)
     in
     let affected = Hashtbl.create 8 in
-    let fresh = o.o_fresh in
+    let fresh = Hashtbl.fold (fun a _ acc -> a :: acc) b.stamp [] in
     if fresh <> [] then begin
       let fresh_preds =
         List.sort_uniq compare
@@ -1309,7 +1299,7 @@ module Incremental = struct
       if Hashtbl.length affected <> 0 then None
       else begin
         Obs.Counter.incr c_ground_rules ~by:(List.length d);
-        Obs.set_attr "ground_rules" (string_of_int (List.length d));
+        set_ground_rules (List.length d);
         Some d
       end
     end
@@ -1324,7 +1314,7 @@ module Incremental = struct
           (normalize_facts facts)
       in
       Obs.Counter.incr c_ground_rules ~by:(List.length d);
-      Obs.set_attr "ground_rules" (string_of_int (List.length d));
+      set_ground_rules (List.length d);
       Some d
 
   let ground_with core ~(facts : Atom.t list) : ground_program =
@@ -1349,6 +1339,6 @@ module Incremental = struct
         Hashtbl.fold (fun a _ acc -> Atom.Set.add a acc) b.stamp core.k_ground.base
       in
       Obs.Counter.incr c_ground_rules ~by:(List.length delta);
-      Obs.set_attr "ground_rules" (string_of_int (List.length delta));
+      set_ground_rules (List.length delta);
       { grules = core_rules @ delta; base = base_set }
 end

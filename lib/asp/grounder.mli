@@ -89,6 +89,13 @@ module Incremental : sig
   (** The core's own ground program (no context facts). *)
   val core_ground : core -> ground_program
 
+  (** A batch of context facts as the grounder asserts them: intervals
+      expand, arithmetic is evaluated, unevaluable facts are
+      inapplicable and dropped, and duplicates go (first occurrence
+      kept, in order).
+      @raise Invalid_argument on a non-ground fact. *)
+  val normalize_facts : Atom.t list -> Atom.t list
+
   (** The delta rules [facts] add to [core] (intervals expand,
       unevaluable facts are inapplicable and dropped, duplicates are
       ignored): [Some rules] when every frozen core rule is still valid

@@ -396,15 +396,17 @@ let init_propagation st =
 
 (* -- Least models ------------------------------------------------------ *)
 
-(** The least model of a reduct of the program, into [out]: a rule fires
-    once its positive body is derived, unless one of its negative atoms
-    satisfies [against]; a firing choice rule derives the elements that
-    satisfy [chosen]. One worklist pass with a counter per rule of the
-    positive atoms still missing, linear in the program size. The
-    propagation queue is empty whenever this runs (before propagation
-    starts, and at a complete assignment), so it holds the worklist. *)
-let least_model st ~against ~chosen out =
-  let rules = st.pr.rules and missing = st.missing and stack = st.queue in
+(** The least model of a reduct of [pr]'s program plus the [seed] atoms
+    as facts, into [out]: a rule fires once its positive body is
+    derived, unless one of its negative atoms satisfies [against]; a
+    firing choice rule derives the elements that satisfy [chosen]. One
+    worklist pass with a counter per rule of the positive atoms still
+    [missing] (left there: 0 marks a rule whose body the model
+    completes), linear in the program size. [stack] needs a slot per
+    atom; a search passes its propagation queue, empty whenever this
+    runs (before propagation starts, and at a complete assignment). *)
+let least_model pr ~missing ~stack ~against ~chosen ~seed out =
+  let rules = pr.rules in
   Array.fill out 0 (Array.length out) false;
   let top = ref 0 in
   let derive a =
@@ -420,6 +422,14 @@ let least_model st ~against ~chosen out =
     | IChoice (_, ats, _) -> Array.iter (fun a -> if chosen a then derive a) ats
     | IFalse | IWeak _ -> ()
   in
+  (* one more positive body atom of rule [ri] derived *)
+  let count_down ri =
+    if missing.(ri) <> max_int then begin
+      missing.(ri) <- missing.(ri) - 1;
+      if missing.(ri) = 0 then fire ri
+    end
+  in
+  List.iter derive seed;
   for ri = 0 to Array.length rules - 1 do
     let r = rules.(ri) in
     if Array.exists against r.ineg then missing.(ri) <- max_int (* never fires *)
@@ -430,13 +440,7 @@ let least_model st ~against ~chosen out =
   done;
   while !top > 0 do
     decr top;
-    List.iter
-      (fun ri ->
-        if missing.(ri) <> max_int then begin
-          missing.(ri) <- missing.(ri) - 1;
-          if missing.(ri) = 0 then fire ri
-        end)
-      st.pr.pos_occ.(stack.(!top))
+    List.iter count_down pr.pos_occ.(stack.(!top))
   done
 
 (** Alternating-fixpoint well-founded bounds: the lower bound is the least
@@ -451,10 +455,13 @@ let wellfounded_seed st =
   let upper = Array.make n true in
   let lower' = Array.make n false in
   let upper' = Array.make n false in
+  let least_model =
+    least_model st.pr ~missing:st.missing ~stack:st.queue ~seed:[]
+  in
   let continue = ref true in
   while !continue do
-    least_model st ~against:(Array.get upper) ~chosen:(fun _ -> false) lower';
-    least_model st ~against:(Array.get lower') ~chosen:(fun _ -> true) upper';
+    least_model ~against:(Array.get upper) ~chosen:(fun _ -> false) lower';
+    least_model ~against:(Array.get lower') ~chosen:(fun _ -> true) upper';
     if lower = lower' (* structural: same contents *) && upper = upper' then
       continue := false
     else begin
@@ -485,7 +492,8 @@ let is_stable st =
   let in_m i = st.assignment.(i) = True in
   let n = Array.length st.pr.atoms in
   let nr = Array.length st.pr.rules in
-  least_model st ~against:in_m ~chosen:in_m st.derived;
+  least_model st.pr ~missing:st.missing ~stack:st.queue ~against:in_m
+    ~chosen:in_m ~seed:[] st.derived;
   let least_equals_m = ref true in
   for i = 0 to n - 1 do
     if st.derived.(i) <> in_m i then least_equals_m := false
@@ -525,10 +533,14 @@ let body_holds m (r : Grounder.ground_rule) =
   && List.for_all (fun a -> not (Atom.Set.mem a m)) r.gneg
   && List.for_all (fun c -> Query.count_holds m c) r.gcounts
 
-(** Enumerate stable models over a prebuilt search state, up to [limit].
-    [wellfounded:false] disables the well-founded narrowing (exposed for
-    the ablation benchmark); the result is unchanged, only slower. *)
+(** Enumerate stable models over a prebuilt search state, up to [limit]
+    (at least 1). [wellfounded:false] disables the well-founded narrowing
+    (exposed for the ablation benchmark); the result is unchanged, only
+    slower. *)
 let solve_state ?limit ?(wellfounded = true) (st : search_state) : model list =
+  (match limit with
+  | Some l when l < 1 -> invalid_arg "Solver: model limit below 1"
+  | _ -> ());
   Obs.Counter.incr c_solve_calls;
   if wellfounded then Obs.fine_span "asp.solve.wellfounded" (fun () -> wellfounded_seed st);
   let found = ref [] in
@@ -607,13 +619,14 @@ let solve_state ?limit ?(wellfounded = true) (st : search_state) : model list =
    with
   | `Ok -> ( try search 0 with Done -> ())
   | `Conflict -> ());
-  Obs.set_attr "models" (string_of_int !count);
-  Obs.Log.debug "solved ground program"
-    ~attrs:
-      [
-        ("models", string_of_int !count);
-        ("atoms", string_of_int (Array.length st.assignment));
-      ];
+  if Obs.has_sinks () then Obs.set_attr "models" (string_of_int !count);
+  if Obs.Log.(enabled Debug) then
+    Obs.Log.debug "solved ground program"
+      ~attrs:
+        [
+          ("models", string_of_int !count);
+          ("atoms", string_of_int (Array.length st.assignment));
+        ];
   List.rev !found
 
 (** Enumerate stable models of a ground program, up to [limit]. *)
@@ -678,17 +691,83 @@ let has_answer_set_prepared ?wellfounded (pr : prepared)
     | [] -> false
     | _ -> true)
 
-type compiled = { core : Grounder.Incremental.core; prepared : prepared }
+type compiled =
+  | Frozen of { core : Grounder.Incremental.core; prepared : prepared }
+  | Ground_core of {
+      pr : prepared;  (** every rule, over every atom any rule names *)
+      core_complete : int;  (** rules whose body the core completes alone *)
+    }
+
+(* [p]'s rules as ground rules when [p] is a ground core: every rule a
+   definite rule or a constraint, its atoms with value arguments only and
+   its body positive; [None] otherwise. *)
+let ground_core (p : Program.t) : Grounder.ground_rule list option =
+  let value (a : Atom.t) = List.for_all Term.is_value a.Atom.args in
+  let rec body acc = function
+    | [] -> Some (List.rev acc)
+    | Rule.Pos a :: rest when value a -> body (a :: acc) rest
+    | (Rule.Pos _ | Rule.Neg _ | Rule.Cmp _ | Rule.Count _) :: _ -> None
+  in
+  let ground_rule (r : Rule.t) =
+    let ghead =
+      match r.head with
+      | Rule.Head a when value a -> Some (Grounder.GAtom a)
+      | Rule.Falsity -> Some Grounder.GFalse
+      | Rule.Head _ | Rule.Choice _ | Rule.Weak _ -> None
+    in
+    match (ghead, body [] r.body) with
+    | Some ghead, Some gpos ->
+      Some { Grounder.ghead; gpos; gneg = []; gcounts = [] }
+    | _ -> None
+  in
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | r :: rest -> (
+      match ground_rule r with Some g -> go (g :: acc) rest | None -> None)
+  in
+  go [] p.rules
+
+let never _ = false
+
+(* The least model of a ground core's rules plus [seed], in a fresh
+   buffer: the [missing] count of every rule, 0 where the model
+   completes its body. *)
+let complete_bodies pr ~seed =
+  let n = Array.length pr.atoms in
+  let missing = Array.make (Array.length pr.rules) 0 in
+  least_model pr ~missing ~stack:(Array.make n 0) ~against:never
+    ~chosen:never ~seed (Array.make n false);
+  missing
 
 let compile (p : Program.t) : compiled =
-  let core = Grounder.Incremental.freeze p in
-  { core; prepared = prepare (Grounder.Incremental.core_ground core) }
+  match ground_core p with
+  | Some grules ->
+    let base =
+      List.fold_left
+        (fun acc (r : Grounder.ground_rule) ->
+          let acc =
+            match r.ghead with Grounder.GAtom a -> Atom.Set.add a acc | _ -> acc
+          in
+          List.fold_left (fun acc a -> Atom.Set.add a acc) acc r.gpos)
+        Atom.Set.empty grules
+    in
+    let pr = prepare { grules; base } in
+    let missing = complete_bodies pr ~seed:[] in
+    Ground_core
+      {
+        pr;
+        core_complete =
+          Array.fold_left (fun k m -> if m = 0 then k + 1 else k) 0 missing;
+      }
+  | None ->
+    let core = Grounder.Incremental.freeze p in
+    Frozen { core; prepared = prepare (Grounder.Incremental.core_ground core) }
 
 let has_answer_set_extended (c : compiled) ~(facts : Atom.t list) : bool * int
     =
-  match facts with
-  | [] -> (has_answer_set_prepared c.prepared ~delta:[], 0)
-  | _ -> (
+  match (c, facts) with
+  | Frozen c, [] -> (has_answer_set_prepared c.prepared ~delta:[], 0)
+  | Frozen c, _ -> (
     match Grounder.Incremental.delta_with c.core ~facts with
     | Some delta ->
       (has_answer_set_prepared c.prepared ~delta, List.length delta)
@@ -699,6 +778,30 @@ let has_answer_set_extended (c : compiled) ~(facts : Atom.t list) : bool * int
       ( has_answer_set_ground gp,
         Grounder.size gp - Grounder.size (Grounder.Incremental.core_ground c.core)
       ))
+  | Ground_core { pr; core_complete }, _ ->
+    (* a fact with no id occurs in no rule: it adds itself and nothing
+       else to the least model, and completes no body *)
+    let facts = Grounder.Incremental.normalize_facts facts in
+    let seed =
+      List.fold_left
+        (fun ids a ->
+          match Hashtbl.find pr.id_of a with
+          | i -> i :: ids
+          | exception Not_found -> ids)
+        [] facts
+    in
+    let missing = complete_bodies pr ~seed in
+    let sat = ref true and complete = ref 0 in
+    Array.iteri
+      (fun ri m ->
+        if m = 0 then begin
+          incr complete;
+          match pr.rules.(ri).ihead with
+          | IFalse -> sat := false
+          | IAtom _ | IWeak _ | IChoice _ -> ()
+        end)
+      missing;
+    (!sat, List.length facts + !complete - core_complete)
 
 (** Atoms true in at least one answer set (brave consequences), restricted
     to a predicate when [pred] is given. *)

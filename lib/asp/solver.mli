@@ -32,6 +32,7 @@ val model_to_string : model -> string
 (** Enumerate stable models of a ground program, up to [limit].
     [wellfounded:false] disables the well-founded narrowing (ablation
     knob); results are identical, search is slower.
+    @raise Invalid_argument when [limit] is below 1.
 
     Complexity: deciding stable-model existence is NP-complete, so the
     worst case is exponential in the number of unknown atoms after
@@ -43,7 +44,8 @@ val solve_ground :
 
 (** Ground and solve: [solve p] is
     [solve_ground (Grounder.ground p)] (see {!Grounder.ground} for
-    grounding complexity). *)
+    grounding complexity).
+    @raise Invalid_argument when [limit] is below 1. *)
 val solve : ?limit:int -> ?wellfounded:bool -> Program.t -> model list
 
 (** Is there at least one stable model? Stops at the first. *)
@@ -80,26 +82,57 @@ val has_answer_set_prepared :
   ?wellfounded:bool -> prepared -> delta:Grounder.ground_rule list -> bool
 
 (** A program compiled for repeated satisfiability checks under varying
-    ground facts: its frozen incremental-grounding core and the prepared
-    solver state of the core's ground program. Immutable; safe to share
-    across domains. *)
+    ground facts, in one of two forms. Immutable; safe to share across
+    domains.
+
+    - A {e ground core}: every rule is ground and definite apart from
+      its constraints — heads are atoms with value arguments (no
+      interval, no arithmetic) or empty, and bodies hold positive such
+      atoms only; no negation, choice, aggregate, comparison or weak
+      constraint. It compiles, with no grounding, to an atom-id table
+      over {e every} rule, including rules and constraints whose bodies
+      the core alone never completes (the grounder would drop them).
+      With facts, the program's least model is its only candidate
+      answer set, so a check is one least-model pass seeded with the
+      facts' ids: the answer is false iff the model completes some
+      constraint's body.
+    - Otherwise the frozen incremental-grounding core
+      ({!Grounder.Incremental.freeze}) and the prepared solver state of
+      its ground program: a check grounds the facts alone
+      ({!Grounder.Incremental.delta_with}) and extends the prepared
+      state with them. *)
 type compiled
 
-(** Ground and freeze [p] ({!Grounder.Incremental.freeze}) and prepare
-    its ground program.
+(** Compile [p]: a ground core is indexed as is, any other program is
+    grounded and frozen ({!Grounder.Incremental.freeze}) and its ground
+    program prepared.
     @raise Grounder.Unsafe_rule / @raise Grounder.Aggregate_in_rule as
     {!Grounder.ground}. *)
 val compile : Program.t -> compiled
 
 (** [has_answer_set_extended c ~facts] decides whether the compiled
     program extended with the ground [facts] has an answer set, and
-    counts the ground rules the facts added. Only the facts are
-    grounded ({!Grounder.Incremental.delta_with}) and the prepared state
-    is extended with them; when the facts need a repair of the frozen
-    core, the repaired program ({!Grounder.Incremental.ground_with}) is
-    decided whole. [facts:[]] decides the prepared program, grounding
-    nothing. Coincides with {!has_answer_set} on the program extended
-    with the facts.
+    counts the ground rules the facts added. Coincides with
+    {!has_answer_set} on the program extended with the facts.
+
+    The facts are normalized as the grounder asserts them
+    ({!Grounder.Incremental.normalize_facts}: intervals expand,
+    arithmetic is evaluated, unevaluable facts drop, duplicates go). On
+    a ground core, a fact with no id occurs in no rule: it adds itself
+    to the least model and nothing else, completes no body, and so
+    cannot change the answer (the splitting-set argument that also lets
+    membership drop facts a model does not read). The count is the
+    same on both forms: the distinct normalized facts plus the rules
+    whose bodies the facts complete and the core alone does not — the
+    length of {!Grounder.Incremental.delta_with}'s delta. The ground
+    core opens no [asp.ground]/[asp.solve] span and moves no
+    [asp.ground.*] or [asp.solve.*] counter.
+
+    On the other form, only the facts are grounded and the prepared
+    state is extended with them; when the facts need a repair of the
+    frozen core, the repaired program
+    ({!Grounder.Incremental.ground_with}) is decided whole. [facts:[]]
+    decides the core, grounding nothing.
     @raise Invalid_argument on a non-ground fact. *)
 val has_answer_set_extended : compiled -> facts:Atom.t list -> bool * int
 

@@ -499,6 +499,8 @@ let register_sink s =
 let unregister_sink s =
   locked sink_lock @@ fun () -> sinks := List.filter (fun x -> x != s) !sinks
 
+let has_sinks () = !sinks <> []
+
 (* -- Spans --------------------------------------------------------------- *)
 
 (* The stack of open spans, one per domain. Attrs are stored

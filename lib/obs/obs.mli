@@ -444,6 +444,10 @@ type sink = { on_span : span -> unit }
 val register_sink : sink -> unit
 val unregister_sink : sink -> unit
 
+(** Is at least one sink registered? Span attributes reach sinks only
+    ({!set_attr}), so a caller can skip formatting them when none is. *)
+val has_sinks : unit -> bool
+
 (** {1 JSON reading} *)
 
 (** A minimal JSON parser — the dependency set has no JSON library.

@@ -268,9 +268,10 @@ let test_shared_annotation_exposed () =
 
 (* The compiled view belongs to one model value. The parent is asked
    first, so its memo holds "accept" compiled; every derivation starts
-   with an empty memo (its first ask grounds its own core) and answers
+   with an empty memo (its first ask compiles its own core) and answers
    for itself: three of them forbid accept, and clean renumbers
-   productions. *)
+   productions. The cores are ground, so compiling grounds nothing: the
+   tally counts the compiles. *)
 let test_compiled_view_per_value () =
   let parent =
     Asg.Asg_parser.parse
@@ -278,22 +279,22 @@ let test_compiled_view_per_value () =
          orphan -> "x" { never. }
          decision -> "accept" { result(accept). } | "reject" { result(reject). } |}
   in
-  let accept g = Asg.Membership.accepts g "accept" in
-  let ground_calls () =
-    Obs.Counter.value (Obs.Counter.make "asp.ground.calls")
+  let accept ?tally g =
+    Asg.Membership.accepts_in_context ?tally g ~context:Asp.Program.empty
+      "accept"
   in
   Alcotest.(check bool) "parent accepts" true (accept parent);
-  let before = ground_calls () in
-  Alcotest.(check bool) "parent, from its memo" true (accept parent);
-  Alcotest.(check int) "a memo hit grounds nothing" before (ground_calls ());
+  let hit = Asg.Membership.tally () in
+  Alcotest.(check bool) "parent, from its memo" true (accept ~tally:hit parent);
+  Alcotest.(check int) "a memo hit compiles nothing" 0 hit.compiles;
   let forbid = Asg.Annotation.parse_rule_string ":- result(accept)@1." in
   List.iter
     (fun (name, child, expected) ->
-      let before = ground_calls () in
+      let first = Asg.Membership.tally () in
       Alcotest.(check bool) (name ^ ": answers for itself") expected
-        (accept child);
-      Alcotest.(check bool) (name ^ ": grounds its own core") true
-        (ground_calls () > before))
+        (accept ~tally:first child);
+      Alcotest.(check bool) (name ^ ": compiles its own core") true
+        (first.compiles > 0))
     [
       ("with_hypothesis", Asg.Gpm.with_hypothesis parent [ (0, forbid) ], false);
       ("with_context", Asg.Gpm.with_context parent (parse_ctx "risky."), false);

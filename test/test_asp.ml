@@ -1047,6 +1047,191 @@ let test_incremental_latent_negation () =
     before
     (sorted_ground_models (Asp.Grounder.Incremental.core_ground core))
 
+(* ---- Deciding fact batches on a ground core ---- *)
+
+(* A random ground core: facts, definite rules and constraints over
+   p/1, q/1, r/0 and s/2 on the values 1, 2 and a. No rule derives s, so
+   constraints over it read atoms only a batch can assert. *)
+let gen_ground_core =
+  let open QCheck2.Gen in
+  let value = oneofl [ "1"; "2"; "a" ] in
+  let atom_g =
+    oneof
+      [
+        map (Printf.sprintf "p(%s)") value;
+        map (Printf.sprintf "q(%s)") value;
+        return "r";
+        map2 (Printf.sprintf "s(%s, %s)") value value;
+      ]
+  in
+  let head_g =
+    oneof
+      [
+        map (Printf.sprintf "p(%s)") value;
+        map (Printf.sprintf "q(%s)") value;
+        return "r";
+      ]
+  in
+  let body_g = map (String.concat ", ") (list_size (int_range 1 3) atom_g) in
+  let rule_g =
+    frequency
+      [
+        (2, map (Printf.sprintf "%s.") head_g);
+        (3, map2 (Printf.sprintf "%s :- %s.") head_g body_g);
+        (3, map (Printf.sprintf ":- %s.") body_g);
+      ]
+  in
+  map (String.concat " ") (list_size (int_range 1 7) rule_g)
+
+(* A batch: core atoms (re-asserted or not), atoms only a constraint
+   reads, atoms no rule names, interval and arithmetic facts (1/0
+   included), and duplicates through repetition. *)
+let gen_ground_batch =
+  let open QCheck2.Gen in
+  let v = oneofl [ "1"; "2"; "a" ] in
+  list_size (int_bound 5)
+    (oneof
+       [
+         map (Printf.sprintf "p(%s)") v;
+         map (Printf.sprintf "q(%s)") v;
+         return "r";
+         map2 (Printf.sprintf "s(%s, %s)") v v;
+         map (Printf.sprintf "unread(%s)") v;
+         return "p(1..2)";
+         return "q(1+1)";
+         return "s(1/0, a)";
+         return "s(2-1, 1..2)";
+       ])
+
+let prop_ground_core_matches_delta =
+  QCheck2.Test.make
+    ~name:"ground core decision = delta_with + prepared solve = from scratch"
+    ~count:300
+    ~print:(fun (src, batches) ->
+      Printf.sprintf "core: %s\nbatches: %s" src
+        (String.concat " | " (List.map (String.concat ". ") batches)))
+    QCheck2.Gen.(
+      pair gen_ground_core (list_size (int_range 1 6) gen_ground_batch))
+    (fun (src, batches) ->
+      let p = parse src in
+      let c = Asp.Solver.compile p in
+      let core = Asp.Grounder.Incremental.freeze p in
+      let prepared =
+        Asp.Solver.prepare (Asp.Grounder.Incremental.core_ground core)
+      in
+      List.for_all
+        (fun batch ->
+          let facts = List.map atom batch in
+          let sat, rules = Asp.Solver.has_answer_set_extended c ~facts in
+          match Asp.Grounder.Incremental.delta_with core ~facts with
+          | None -> false (* a definite core never needs repair *)
+          | Some delta ->
+            sat = Asp.Solver.has_answer_set_prepared prepared ~delta
+            && sat = Asp.Solver.has_answer_set (Asp.Program.with_facts p facts)
+            && rules = List.length delta)
+        batches)
+
+let counter_value name = Obs.Counter.value (Obs.Counter.make name)
+
+let ground_counters () =
+  List.map counter_value
+    [
+      "asp.ground.calls"; "asp.ground.rules"; "asp.ground.possible_atoms";
+      "asp.ground.delta_rounds"; "asp.ground.join_tuples"; "asp.solve.calls";
+    ]
+
+(* a ground core compiles and decides without grounding or searching;
+   the answers and rule counts are those of the frozen-core path *)
+let test_ground_core_grounds_nothing () =
+  let p =
+    parse
+      "result(permit). :- result(permit), attr(role, intern), attr(act, write)."
+  in
+  let before = ground_counters () in
+  let c = Asp.Solver.compile p in
+  let decide facts =
+    Asp.Solver.has_answer_set_extended c ~facts:(List.map atom facts)
+  in
+  Alcotest.(check (pair bool int)) "no facts" (true, 0) (decide []);
+  Alcotest.(check (pair bool int)) "half the body: one fact rule" (true, 1)
+    (decide [ "attr(role, intern)" ]);
+  Alcotest.(check (pair bool int)) "the whole body: two facts, one constraint"
+    (false, 3)
+    (decide [ "attr(role, intern)"; "attr(act, write)"; "attr(role, intern)" ]);
+  Alcotest.(check (pair bool int)) "an unread fact adds itself" (true, 2)
+    (decide [ "attr(role, intern)"; "attr(role, admin)" ]);
+  Alcotest.(check (list int)) "no asp.ground or asp.solve counter moved" before
+    (ground_counters ());
+  Alcotest.check_raises "a non-ground fact is refused"
+    (Invalid_argument "Grounder.Incremental: context facts must be ground")
+    (fun () -> ignore (decide [ "attr(role, X)" ]))
+
+(* a variable, a negative literal, a choice, a comparison, an interval
+   or arithmetic in the core: the decision grounds the batch with
+   delta_with, as before *)
+let test_nonground_core_keeps_delta () =
+  List.iter
+    (fun (src, facts) ->
+      let p = parse src in
+      let facts = List.map atom facts in
+      let c = Asp.Solver.compile p in
+      let calls = counter_value "asp.ground.calls" in
+      let sat, _ = Asp.Solver.has_answer_set_extended c ~facts in
+      Alcotest.(check int) (src ^ ": one delta ground") (calls + 1)
+        (counter_value "asp.ground.calls");
+      Alcotest.(check bool) (src ^ ": answers as from scratch")
+        (Asp.Solver.has_answer_set (Asp.Program.with_facts p facts))
+        sat)
+    [
+      ("p(X) :- q(X). :- p(1), r.", [ "q(1)"; "r" ]);
+      ("p :- q, not r. :- p.", [ "q" ]);
+      ("{ p }. :- p, q. :- not p.", [ "q" ]);
+      ("p :- q(1), 1 < 2. :- p.", [ "q(1)" ]);
+      ("q(1..2). :- q(2), r.", [ "r" ]);
+      ("q(1+1). :- q(2), r.", [ "r" ]);
+    ]
+
+(* a core that is unsatisfiable alone stays so under any batch *)
+let test_unsat_ground_core () =
+  let c = Asp.Solver.compile (parse "a. b :- a. :- b.") in
+  List.iter
+    (fun facts ->
+      let facts' = List.map atom facts in
+      Alcotest.(check bool)
+        (String.concat ", " facts ^ ": unsatisfiable")
+        false
+        (fst (Asp.Solver.has_answer_set_extended c ~facts:facts')))
+    [ []; [ "a" ]; [ "b" ]; [ "c" ]; [ "p(1..3)"; "p(1/0)" ] ]
+
+(* with a sink registered, the ground and solve spans still carry their
+   counts *)
+let test_span_attrs_reach_sinks () =
+  let spans = ref [] in
+  let sink = { Obs.on_span = (fun sp -> spans := sp :: !spans) } in
+  Obs.register_sink sink;
+  Fun.protect ~finally:(fun () -> Obs.unregister_sink sink) @@ fun () ->
+  ignore (Asp.Solver.solve (parse "{ a } 1 :- b. b."));
+  let attr name key =
+    List.find_map
+      (fun (sp : Obs.span) ->
+        if sp.sp_name = name then List.assoc_opt key sp.sp_attrs else None)
+      !spans
+  in
+  Alcotest.(check (option string)) "ground rules" (Some "2")
+    (attr "asp.ground" "ground_rules");
+  Alcotest.(check (option string)) "models" (Some "2")
+    (attr "asp.solve" "models")
+
+let test_solve_limit_below_one () =
+  List.iter
+    (fun limit ->
+      Alcotest.check_raises
+        (Printf.sprintf "limit %d" limit)
+        (Invalid_argument "Solver: model limit below 1")
+        (fun () ->
+          ignore (Asp.Solver.solve ~limit (parse "{ a } 1 :- b. b."))))
+    [ 0; -1 ]
+
 (* pretty-print / parse roundtrip over random rule ASTs *)
 let gen_rule =
   QCheck2.Gen.(
@@ -1162,6 +1347,7 @@ let qcheck_cases =
       prop_grounder_matches_naive_reference;
       prop_solver_models_match_ground_reference;
       prop_incremental_matches_full_reground;
+      prop_ground_core_matches_delta;
       prop_rule_pp_parse_roundtrip;
       prop_body_holds_iff_instances ]
 
@@ -1235,6 +1421,15 @@ let () =
             test_wellfounded_seed_propagations;
           Alcotest.test_case "graph coloring" `Quick test_graph_coloring;
           Alcotest.test_case "context facts" `Quick test_context_facts;
+          Alcotest.test_case "limit below 1" `Quick test_solve_limit_below_one;
+          Alcotest.test_case "span attributes reach sinks" `Quick
+            test_span_attrs_reach_sinks;
+          Alcotest.test_case "ground core grounds nothing" `Quick
+            test_ground_core_grounds_nothing;
+          Alcotest.test_case "non-ground core keeps delta_with" `Quick
+            test_nonground_core_keeps_delta;
+          Alcotest.test_case "unsatisfiable ground core" `Quick
+            test_unsat_ground_core;
         ] );
       ( "edge-cases",
         [

@@ -80,6 +80,15 @@ let test_span_attrs () =
       [ ("a", "1"); ("b", "2") ]
       sp.Obs.sp_attrs
 
+(* attribute formatting is skipped while no sink is registered *)
+let test_has_sinks () =
+  let before = Obs.has_sinks () in
+  let sink = { Obs.on_span = ignore } in
+  Obs.register_sink sink;
+  Alcotest.(check bool) "a registered sink" true (Obs.has_sinks ());
+  Obs.unregister_sink sink;
+  Alcotest.(check bool) "back as before" before (Obs.has_sinks ())
+
 let test_fine_span_gating () =
   with_fake_clock @@ fun () ->
   Obs.set_detailed false;
@@ -1070,6 +1079,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick
             test_span_exception_safety;
           Alcotest.test_case "attributes" `Quick test_span_attrs;
+          Alcotest.test_case "sink predicate" `Quick test_has_sinks;
           Alcotest.test_case "fine span gating" `Quick test_fine_span_gating;
           Alcotest.test_case "wall clock" `Quick test_default_clock_is_wall_clock;
           Alcotest.test_case "domain safety" `Quick test_domain_safety;

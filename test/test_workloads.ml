@@ -100,6 +100,53 @@ let test_xacml_noise_injection () =
        (fun (_, d) -> d = Policy.Decision.Not_applicable)
        noisy)
 
+(* A learned XACML model's trees are ground cores (the decision fact and
+   ground constraints over attribute values): deciding every request of
+   the space through the compiled view grounds and searches nothing, and
+   answers as the from-scratch path does. *)
+let test_xacml_learned_tree_ground_core () =
+  let log = Workloads.Xacml_logs.log ~seed:1 ~n:80 () in
+  let space = Ilp.Hypothesis_space.generate (Workloads.Xacml_logs.modes ()) in
+  let gpm =
+    match
+      Ilp.Asg_learning.learn ~gpm:(Workloads.Xacml_logs.gpm ()) ~space
+        ~examples:(Policy.Xacml.examples_of_log log) ()
+    with
+    | Some l -> l.Ilp.Asg_learning.gpm
+    | None -> Alcotest.fail "no hypothesis"
+  in
+  let questions =
+    List.concat_map
+      (fun r ->
+        let context = Policy.Request.to_context r in
+        [ (context, "permit"); (context, "deny") ])
+      (Workloads.Xacml_logs.request_space ())
+  in
+  let scratch =
+    List.map
+      (fun (context, s) ->
+        Asg.Membership.accepts_uncompiled ~context gpm
+          (Asg.Membership.tokenize s))
+      questions
+  in
+  let counters () =
+    List.map
+      (fun n -> Obs.Counter.value (Obs.Counter.make n))
+      [
+        "asp.ground.calls"; "asp.ground.rules"; "asp.ground.possible_atoms";
+        "asp.ground.delta_rounds"; "asp.ground.join_tuples"; "asp.solve.calls";
+      ]
+  in
+  let before = counters () in
+  let compiled =
+    List.map
+      (fun (context, s) -> Asg.Membership.accepts_in_context gpm ~context s)
+      questions
+  in
+  Alcotest.(check (list bool)) "answers as from scratch" scratch compiled;
+  Alcotest.(check (list int)) "no asp.ground or asp.solve counter moved"
+    before (counters ())
+
 let test_xacml_flat_learning_improves_with_data () =
   let learn n ~rules ~cost =
     let log = Workloads.Xacml_logs.log ~seed:1 ~n () in
@@ -681,6 +728,8 @@ let () =
           Alcotest.test_case "ground truth" `Quick test_xacml_ground_truth;
           Alcotest.test_case "policy matches oracle" `Quick test_xacml_policy_matches_oracle;
           Alcotest.test_case "noise injection" `Quick test_xacml_noise_injection;
+          Alcotest.test_case "learned tree is a ground core" `Quick
+            test_xacml_learned_tree_ground_core;
           Alcotest.test_case "more data helps" `Slow test_xacml_flat_learning_improves_with_data;
           Alcotest.test_case "hierarchy beats flat" `Slow test_xacml_hierarchy_beats_flat_when_sparse;
         ] );
