@@ -49,8 +49,10 @@ val record_violation : t -> bool -> unit
 val violation_rate : t -> float
 
 (** Unconditional relearning; keeps the old hypothesis on failure.
-    Only the examples added since the last successful relearn (see
-    [carried]) have their witnesses enumerated. Emits an {!Obs.Health}
+    Only an example whose key (its sentence and its context projected
+    onto what the space reads) neither the last successful relearn (see
+    [carried]) nor an earlier retained example has has its witnesses
+    enumerated ({!Ilp.Learner.learn_constraints}). Emits an {!Obs.Health}
     lifecycle event (signal ["padap.relearn"], kind ["relearn"])
     carrying the trigger [reason] (default ["manual"]), examples
     consumed, old/new hypothesis size, and the accuracy delta over the

@@ -122,6 +122,20 @@ let instantiate_rule (trace : int list) (r : rule) : Asp.Rule.t =
 let instantiate_program trace (p : program) : Asp.Rule.t list =
   List.map (instantiate_rule trace) p
 
+(** Apply [f] to every atom of the rule: its head atom, choice elements
+    and their conditions, and positive and negative body atoms. *)
+let iter_atoms f (r : rule) =
+  (match r.head with
+  | Head a -> f a
+  | Falsity | Weak _ -> ()
+  | Choice (_, elts, _) ->
+    List.iter
+      (fun e ->
+        f e.choice_atom;
+        List.iter f e.condition)
+      elts);
+  List.iter (function Pos a | Neg a -> f a | Cmp _ -> ()) r.body
+
 (* -- Parsing ------------------------------------------------------------ *)
 
 (** Parse annotated ASP text: plain ASP syntax where any atom may be
@@ -338,6 +352,7 @@ let rule_to_string r = Fmt.str "%a" pp_rule r
 let to_string p = Fmt.str "%a" pp p
 
 let compare_rule (r1 : rule) (r2 : rule) =
-  String.compare (rule_to_string r1) (rule_to_string r2)
+  if r1 == r2 then 0
+  else String.compare (rule_to_string r1) (rule_to_string r2)
 
 let equal_rule r1 r2 = compare_rule r1 r2 = 0

@@ -47,6 +47,11 @@ val instantiate_atom : int list -> aatom -> Asp.Atom.t
 val instantiate_rule : int list -> rule -> Asp.Rule.t
 val instantiate_program : int list -> program -> Asp.Rule.t list
 
+(** [iter_atoms f r] applies [f] to every atom of [r]: the head atom,
+    each choice element and its condition, and the positive and
+    negative body atoms. *)
+val iter_atoms : (aatom -> unit) -> rule -> unit
+
 (** {2 Parsing (ASP syntax plus [@i] sites and [:~ ... [w]])} *)
 
 exception Parse_error of string
@@ -65,5 +70,9 @@ val pp_rule : Format.formatter -> rule -> unit
 val pp : Format.formatter -> program -> unit
 val rule_to_string : rule -> string
 val to_string : program -> string
+
+(** The order of the rules' printed forms; a rule equals itself without
+    being printed. *)
 val compare_rule : rule -> rule -> int
+
 val equal_rule : rule -> rule -> bool

@@ -4,9 +4,13 @@
     production's annotation) and [with_hypothesis] ([G : H]: add learned
     rules to specific productions). *)
 
+type sites = (int list * (string * string) list) list
+
+type compiled = { core : Asp.Solver.compiled; sites : sites }
+
 type tree = {
   tree : Grammar.Parse_tree.t;
-  compiled : Asp.Solver.compiled option Atomic.t;
+  compiled : compiled option Atomic.t;
 }
 
 module Sentences = Map.Make (struct
@@ -132,20 +136,7 @@ let read_index g =
           (List.hd (String.split_on_char '@' pred))
           (List.map (fun _ -> Asp.Term.var "_") args)
     in
-    let add_rule ({ head; body } : Annotation.rule) =
-      (match head with
-      | Head a -> add_atom a
-      | Falsity | Weak _ -> ()
-      | Choice (_, elts, _) ->
-        List.iter
-          (fun ({ choice_atom; condition } : Annotation.choice_elt) ->
-            add_atom choice_atom;
-            List.iter add_atom condition)
-          elts);
-      List.iter
-        (function Annotation.Pos a | Neg a -> add_atom a | Cmp _ -> ())
-        body
-    in
+    let add_rule = Annotation.iter_atoms add_atom in
     List.iter (fun (_, rules) -> List.iter add_rule rules) g.annotations;
     List.iter add_rule g.shared;
     (* a racing domain builds an equal index; either may stay *)

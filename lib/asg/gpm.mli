@@ -48,11 +48,20 @@ val clean : t -> t
     per distinct sentence asked of the value and is safe to read and
     fill from several domains. {!Membership} compiles the trees. *)
 
+(** Where a context fact's copies meet a tree's induced program: for
+    each node trace of the tree, in order, each predicate name that some
+    rule of [G[PT]] uses at that trace, with its name there
+    ({!Annotation.mangle_pred}). Built by {!Tree_program.sites}. *)
+type sites = (int list * (string * string) list) list
+
+(** A tree's [G[PT]] compiled ({!Asp.Solver.compile}), with its sites. *)
+type compiled = { core : Asp.Solver.compiled; sites : sites }
+
 (** One parse tree of a memoised sentence; [compiled] is [None] until
     the tree is first decided. *)
 type tree = {
   tree : Grammar.Parse_tree.t;
-  compiled : Asp.Solver.compiled option Atomic.t;
+  compiled : compiled option Atomic.t;
 }
 
 (** [compiled_trees g tokens] is the memoised parse trees of [tokens]

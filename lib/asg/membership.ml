@@ -59,19 +59,24 @@ type tally = {
 
 let tally () = { trees = 0; compiles = 0; facts = 0; rules = 0 }
 
-let compiled ?tally (g : Gpm.t) (t : Gpm.tree) : Asp.Solver.compiled =
+let compiled ?tally (g : Gpm.t) (t : Gpm.tree) : Gpm.compiled =
   match Atomic.get t.compiled with
   | Some c -> c
   | None ->
     (* a racing domain compiles the same pure value; either may stay *)
-    let c = Asp.Solver.compile (Tree_program.program g t.tree) in
+    let c =
+      {
+        Gpm.core = Asp.Solver.compile (Tree_program.program g t.tree);
+        sites = Tree_program.sites g t.tree;
+      }
+    in
     Atomic.set t.compiled (Some c);
     Option.iter (fun k -> k.compiles <- k.compiles + 1) tally;
     c
 
 (* membership of [tokens] in [L(G(C))] for a context [C] of ground facts:
-   each memoised tree's frozen core extended with [C]'s facts at the
-   tree's node traces *)
+   each memoised tree's frozen core extended with the copies of [C]'s
+   facts that its rules use *)
 let accepts_facts ?tally (g : Gpm.t) ~(facts : Asp.Atom.t list)
     (tokens : string list) : bool =
   Obs.span "asg.membership" @@ fun () ->
@@ -79,10 +84,9 @@ let accepts_facts ?tally (g : Gpm.t) ~(facts : Asp.Atom.t list)
     (fun (t : Gpm.tree) ->
       Obs.Counter.incr c_hypothesis_evals;
       Obs.fine_span "asg.tree_eval" @@ fun () ->
-      let facts = Tree_program.context_facts t.tree facts in
-      let sat, rules =
-        Asp.Solver.has_answer_set_extended (compiled ?tally g t) ~facts
-      in
+      let c = compiled ?tally g t in
+      let facts = Tree_program.context_facts c.sites facts in
+      let sat, rules = Asp.Solver.has_answer_set_extended c.core ~facts in
       (match tally with
       | Some k ->
         k.trees <- k.trees + 1;

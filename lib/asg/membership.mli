@@ -60,7 +60,10 @@ val accepts : Gpm.t -> string -> bool
 type tally = {
   mutable trees : int;  (** trees decided *)
   mutable compiles : int;  (** cores compiled by these checks *)
-  mutable facts : int;  (** context facts instantiated at node traces *)
+  mutable facts : int;
+      (** copies of context facts built: each read fact at the node
+          traces where some rule of the tree's program uses its
+          predicate ({!Tree_program.context_facts}) *)
   mutable rules : int;  (** ground rules the facts added to the cores *)
 }
 
@@ -84,11 +87,11 @@ val project : Gpm.t -> Asp.Program.t -> Asp.Program.t
 (** [s ∈ L(G(C))]. When [context] is ground facts only
     ({!Asp.Program.ground_facts}, the empty context included), through
     the model's compiled view on the facts [g] reads ({!project}): only
-    those facts, instantiated at each tree's node traces
-    ({!Tree_program.context_facts}), are grounded against the tree's
-    frozen core ({!Asp.Solver.has_answer_set_extended}), stopping at the
-    first accepting tree; [tally] counts that work. A context with
-    proper rules changes [G(C)[PT]] beyond facts and takes
+    those facts, copied at the node traces where a rule of the tree's
+    program uses them ({!Tree_program.context_facts}), are added to the
+    tree's compiled core ({!Asp.Solver.has_answer_set_extended}),
+    stopping at the first accepting tree; [tally] counts that work. A
+    context with proper rules changes [G(C)[PT]] beyond facts and takes
     {!accepts_uncompiled}, leaving [tally] untouched. Answers equal
     {!accepts_uncompiled} on every context. Applied to [g] and
     [context] alone, it projects once for every sentence it is then

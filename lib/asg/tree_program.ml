@@ -14,20 +14,59 @@ let program (g : Gpm.t) (tree : Grammar.Parse_tree.t) : Asp.Program.t =
   in
   Asp.Program.of_rules rules
 
-(** The ground atoms a fact-only context contributes to [tree]'s induced
-    program: each atom instantiated at every node's trace — exactly the
-    fact rules {!Gpm.with_context} would inject through the shared
-    annotation, without rebuilding the grammar or re-inducing the
-    program. [program g tree] plus these facts is therefore
-    rule-for-rule the program [program (Gpm.with_context g ctx) tree]
-    induces (up to rule order), which is what lets a serving layer keep
-    the induced program as a frozen incremental-grounding core and
-    delta-ground only the context. *)
-let context_facts (tree : Grammar.Parse_tree.t) (facts : Asp.Atom.t list) :
+(** For each node trace of [tree], in order, the predicates some rule of
+    [program g tree] uses at that trace, each with its name there. An
+    annotation atom whose name contains ['@'] counts its base name at
+    every trace: instantiated at the root it is the name of that base's
+    copy at some trace (as {!Gpm.reads} counts it). *)
+let sites (g : Gpm.t) (tree : Grammar.Parse_tree.t) : Gpm.sites =
+  let nodes = Grammar.Parse_tree.nodes_with_traces tree in
+  let used = Hashtbl.create 8 in
+  let use trace pred =
+    let preds = Option.value ~default:[] (Hashtbl.find_opt used trace) in
+    if not (List.mem pred preds) then Hashtbl.replace used trace (pred :: preds)
+  in
+  List.iter
+    (fun (trace, (p : Grammar.Production.t), _children) ->
+      let use_atom (a : Annotation.aatom) =
+        let pred = a.atom.Asp.Atom.pred in
+        match String.index_opt pred '@' with
+        | Some i ->
+          let base = String.sub pred 0 i in
+          List.iter (fun (t, _, _) -> use t base) nodes
+        | None ->
+          use (match a.site with None -> trace | Some i -> trace @ [ i ]) pred
+      in
+      List.iter
+        (Annotation.iter_atoms use_atom)
+        (Gpm.full_annotation g p.Grammar.Production.id))
+    nodes;
+  List.map
+    (fun (trace, _p, _children) ->
+      ( trace,
+        List.rev_map
+          (fun pred -> (pred, Annotation.mangle_pred pred trace))
+          (Option.value ~default:[] (Hashtbl.find_opt used trace)) ))
+    nodes
+
+(** The ground facts a fact-only context contributes to the tree's
+    induced program, less the copies no rule of it uses: each fact is
+    copied at the traces where a rule uses its predicate, under the
+    stored name, as {!Gpm.with_context}'s shared annotation would
+    instantiate it there. A fact whose name contains ['@'] is copied at
+    every trace. A copy no rule uses only adds itself to every answer set
+    (the splitting-set argument of {!Gpm.reads}). *)
+let context_facts (sites : Gpm.sites) (facts : Asp.Atom.t list) :
     Asp.Atom.t list =
   List.concat_map
-    (fun (trace, _p, _children) ->
-      List.map
-        (fun a -> Annotation.instantiate_atom trace (Annotation.at a))
+    (fun (trace, preds) ->
+      List.filter_map
+        (fun (a : Asp.Atom.t) ->
+          if String.contains a.pred '@' then
+            Some (Annotation.instantiate_atom trace (Annotation.at a))
+          else
+            Option.map
+              (fun pred -> if String.equal pred a.pred then a else { a with pred })
+              (List.assoc_opt a.pred preds))
         facts)
-    (Grammar.Parse_tree.nodes_with_traces tree)
+    sites

@@ -14,7 +14,9 @@
     leaving at least one witness of every positive example alive. A
     branch-and-bound search finds the minimum-cost hypothesis; soft
     examples may instead be sacrificed at their penalty weight, which
-    yields ILASP-style noise tolerance.
+    yields ILASP-style noise tolerance. Witnesses and kill columns are
+    computed once per key — the sentence and the context projected onto
+    what the space can read — and shared by the examples with it.
 
     {b General path} (candidates may define new atoms): best-first search
     over subsets in cost order, validating each candidate hypothesis with
@@ -28,6 +30,7 @@ let c_candidates = Obs.Counter.make "ilp.candidates"
 let c_nodes_pruned = Obs.Counter.make "ilp.nodes_pruned"
 let c_kill_cells = Obs.Counter.make "ilp.kill_cells"
 let c_examples_carried = Obs.Counter.make "ilp.examples_carried"
+let c_examples_shared = Obs.Counter.make "ilp.examples_shared"
 let h_kill_density = Obs.Histogram.make "ilp.kill_matrix.density"
 
 type stats = {
@@ -54,6 +57,11 @@ type evidence = {
   killers : int list list;
       (** per witness, in order: the space indices of the candidates
           killing it, descending *)
+  context : Asp.Program.t;
+      (** the example's context projected onto what [G : S_M] reads: with
+          the sentence, the key. [witnesses] were enumerated under it,
+          or under the whole context when [truncated]. *)
+  fingerprint : int;  (** [Asp.Program.fingerprint context] *)
 }
 
 type outcome = {
@@ -156,39 +164,16 @@ let greedy_score_compare (g1, c1, i1) (g2, c2, i2) =
 
 (* ---- Constraint path -------------------------------------------------- *)
 
-(* The carried outcome's evidence for each of [examples] physically
-   present in its task. The evidence depends only on the base GPM, the
-   space (for the killer lists) and the cap, so it is ignored unless all
-   three are the same. Each search starts where the last match ended and
-   wraps around: a sliding window keeps its shared examples in order, so
-   they match in one pass. *)
-let carried_evidence ~max_witnesses (t : Task.t) examples = function
-  | Some ((prev : Task.t), (o : outcome))
-    when prev.Task.gpm == t.Task.gpm
-         && prev.Task.space == t.Task.space
-         && o.max_witnesses = max_witnesses
-         && List.compare_lengths o.evidence prev.Task.examples = 0 ->
-    let prev_examples = Array.of_list prev.Task.examples in
-    let prev_evidence = Array.of_list o.evidence in
-    let m = Array.length prev_examples in
-    let start = ref 0 in
-    Array.map
-      (fun e ->
-        let rec find k stop =
-          if k = stop then None
-          else if prev_examples.(k) == e then Some k
-          else find (k + 1) stop
-        in
-        let found =
-          match find !start m with None -> find 0 !start | hit -> hit
-        in
-        Option.map
-          (fun k ->
-            start := k + 1;
-            prev_evidence.(k))
-          found)
-      examples
-  | Some _ | None -> Array.map (fun _ -> None) examples
+(* Where an example's evidence comes from, decided in example order
+   before any enumeration. *)
+type source =
+  | Prior of evidence  (** the carried outcome's, killer lists included *)
+  | Fresh  (** enumerated and evaluated by this learn *)
+  | Same_as of int  (** the first example of this learn with an equal key *)
+
+(* Where a key of the table was seen: at an example of the carried task,
+   or at the first example of this learn with it. *)
+type seen = Carried of int | First of int
 
 let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
     ?carried (t : Task.t) : outcome option =
@@ -199,54 +184,156 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
   let n_ex = Array.length examples in
   let candidates = Array.of_list t.Task.space in
   let n_cand = Array.length candidates in
-  let prior = carried_evidence ~max_witnesses t examples carried in
-  (* collect witnesses of the examples without carried evidence:
-     per-example enumeration fans out across the pool (each example is
-     independent); assembly stays sequential in example order so witness
-     ids match a fresh sequential run bit for bit *)
-  let fresh =
-    Array.of_list
-      (List.filter (fun i -> Option.is_none prior.(i)) (List.init n_ex Fun.id))
+  (* the carried task's examples and evidence; the evidence depends only
+     on the base GPM, the space (for the killer lists and the projection)
+     and the cap, so it is ignored unless all three are the same *)
+  let prev_examples, prev_evidence =
+    match carried with
+    | Some ((prev : Task.t), (o : outcome))
+      when prev.Task.gpm == t.Task.gpm
+           && prev.Task.space == t.Task.space
+           && o.max_witnesses = max_witnesses
+           && List.compare_lengths o.evidence prev.Task.examples = 0 ->
+      (Array.of_list prev.Task.examples, Array.of_list o.evidence)
+    | Some _ | None -> ([||], [||])
   in
-  let enumerated =
-    Obs.span "ilp.witnesses" (fun () ->
-        Par.parallel_map pool
-          (fun i ->
-            witnesses_of_example_counted ~max_witnesses t.Task.gpm examples.(i))
-          fresh)
+  (* Every example's source, in example order and so the same at any
+     pool size: its own carried evidence, else an equal key's (the
+     carried outcome's, then this learn's first example with it), else a
+     new key. A key is the sentence and the context projected onto what
+     [G : S_M] reads. A fact no rule of [G : S_M] reads only adds itself
+     to every answer set (the splitting-set argument of {!Asg.Gpm.reads}),
+     so the projected witnesses are the whole context's one for one, and
+     each kills the candidates its counterpart kills. The table buckets
+     keys by the sentence and the projected context's fingerprint, and a
+     hit is confirmed by [Asp.Program.equal]; it holds the carried task's
+     examples and this learn's new keys, so it is bounded by the examples
+     of the two tasks. *)
+  let view = lazy (Task.apply_hypothesis t.Task.gpm t.Task.space) in
+  let keys = Hashtbl.create (Array.length prev_examples + n_ex) in
+  Array.iteri
+    (fun k (e : Example.t) ->
+      let ev = prev_evidence.(k) in
+      Hashtbl.add keys (e.Example.sentence, ev.fingerprint) (ev.context, Carried k))
+    prev_examples;
+  let n_carried = ref 0 in
+  (* the carried example expected next: a sliding window keeps its
+     examples in order, so they match without a lookup *)
+  let next = ref 0 in
+  (* per example: the projected context and its fingerprint *)
+  let key = Array.make n_ex (Asp.Program.empty, 0) in
+  let sources =
+    Array.mapi
+      (fun i (e : Example.t) ->
+        let carry k =
+          next := k + 1;
+          incr n_carried;
+          key.(i) <- (prev_evidence.(k).context, prev_evidence.(k).fingerprint);
+          Prior prev_evidence.(k)
+        in
+        if !next < Array.length prev_examples && prev_examples.(!next) == e then
+          carry !next
+        else begin
+          let context =
+            Asg.Membership.project (Lazy.force view) e.Example.context
+          in
+          let fingerprint = Asp.Program.fingerprint context in
+          key.(i) <- (context, fingerprint);
+          let seen = Hashtbl.find_all keys (e.Example.sentence, fingerprint) in
+          let equal_key = function
+            | c, Carried k ->
+              (not prev_evidence.(k).truncated) && Asp.Program.equal c context
+            | c, First _ -> Asp.Program.equal c context
+          in
+          match
+            List.find_map
+              (function
+                | _, Carried k when prev_examples.(k) == e -> Some k
+                | _ -> None)
+              seen
+          with
+          | Some k -> carry k
+          | None -> (
+            (* a key is first seen at most once, and only where no usable
+               carried evidence has it: at most one kind matches *)
+            match List.find_opt equal_key seen with
+            | Some (_, Carried k) -> Prior prev_evidence.(k)
+            | Some (_, First k) -> Same_as k
+            | None ->
+              Hashtbl.add keys (e.Example.sentence, fingerprint) (context, First i);
+              Fresh)
+        end)
+      examples
   in
-  Obs.Counter.incr ~by:(n_ex - Array.length fresh) c_examples_carried;
-  (* per example: its witnesses (re-indexed to this task), truncation
-     flag, and killer lists when carried *)
-  let next_fresh = ref 0 in
+  (* per example: its witnesses and truncation flag *)
+  let found = Array.make n_ex ([], false) in
+  (* enumerate each [(i, context)] across the pool, example [i] under
+     [context] *)
+  let enumerate todo =
+    let todo = Array.of_list (List.rev todo) in
+    Array.iter2
+      (fun (i, _) enumerated -> found.(i) <- enumerated)
+      todo
+      (Par.parallel_map pool
+         (fun (i, context) ->
+           witnesses_of_example_counted ~max_witnesses t.Task.gpm
+             { (examples.(i)) with Example.context })
+         todo)
+  in
+  Obs.span "ilp.witnesses" (fun () ->
+      let fresh = ref [] in
+      Array.iteri
+        (fun i -> function
+          | Prior ev -> found.(i) <- (ev.witnesses, ev.truncated)
+          | Fresh -> fresh := (i, fst key.(i)) :: !fresh
+          | Same_as _ -> ())
+        sources;
+      enumerate !fresh;
+      (* the cap keeps a prefix of an enumeration order that unread facts
+         may change: each example of a truncated key is enumerated on its
+         whole context, and shares nothing *)
+      let whole = ref [] in
+      Array.iteri
+        (fun i (e : Example.t) ->
+          match sources.(i) with
+          | Prior _ -> ()
+          | Fresh ->
+            if snd found.(i) && fst key.(i) != e.Example.context then
+              whole := (i, e.Example.context) :: !whole
+          | Same_as k ->
+            if snd found.(k) then begin
+              sources.(i) <- Fresh;
+              whole := (i, e.Example.context) :: !whole
+            end
+            else found.(i) <- found.(k))
+        examples;
+      if !whole <> [] then enumerate !whole);
+  let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a in
+  Obs.Counter.incr ~by:!n_carried c_examples_carried;
+  Obs.Counter.incr
+    ~by:(count (function Fresh -> false | Prior _ | Same_as _ -> true) sources
+        - !n_carried)
+    c_examples_shared;
+  (* per example: its witnesses, re-indexed to this task, and the id of
+     its first witness *)
   let per_example =
     Array.mapi
-      (fun i prior ->
-        let ws, truncated, killers =
-          match prior with
-          | Some ev -> (ev.witnesses, ev.truncated, Some ev.killers)
-          | None ->
-            let ws, truncated = enumerated.(!next_fresh) in
-            incr next_fresh;
-            (ws, truncated, None)
-        in
-        ( List.map (fun w -> if w.ex_idx = i then w else { w with ex_idx = i }) ws,
-          truncated,
-          killers ))
-      prior
+      (fun i (ws, _) ->
+        List.map (fun w -> if w.ex_idx = i then w else { w with ex_idx = i }) ws)
+      found
   in
-  let witnesses =
-    Array.of_list
-      (List.concat_map (fun (ws, _, _) -> ws) (Array.to_list per_example))
-  in
+  let first_wid = Array.make n_ex 0 in
+  Array.iteri
+    (fun i ws ->
+      if i + 1 < n_ex then first_wid.(i + 1) <- first_wid.(i) + List.length ws)
+    per_example;
+  let witnesses = Array.of_list (List.concat (Array.to_list per_example)) in
   let n_wit = Array.length witnesses in
   let wit_ids_of_ex = Array.make n_ex [] in
   Array.iteri
     (fun wid w -> wit_ids_of_ex.(w.ex_idx) <- wid :: wit_ids_of_ex.(w.ex_idx))
     witnesses;
-  let n_truncated =
-    Array.fold_left (fun n (_, tr, _) -> if tr then n + 1 else n) 0 per_example
-  in
+  let n_truncated = count snd found in
   if n_truncated > 0 then
     Obs.Log.warn
       "witness enumeration hit the cap; the result may change with a larger \
@@ -256,32 +343,28 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
           ("cap", string_of_int max_witnesses);
           ("examples_truncated", string_of_int n_truncated);
         ];
-  (* kill matrix: carried witnesses keep their killer lists; the fresh
-     ones are evaluated in one task per candidate row — each task writes
-     only its own [rows.(ci)], so rows race on nothing. Both index lists
-     are then rebuilt sequentially, in the order a scan of the whole
-     matrix gives: [killers_of] ci-descending, [killed_by_cand]
-     wid-descending. *)
+  (* kill matrix: carried killer lists are kept, and an example sharing a
+     key copies its first example's; the rest are evaluated in one task
+     per candidate row — each task writes only its own [rows.(ci)], so
+     rows race on nothing. Both index lists are then rebuilt
+     sequentially, in the order a scan of the whole matrix gives:
+     [killers_of] ci-descending, [killed_by_cand] wid-descending. *)
   let killers_of = Array.make n_wit [] in
-  let to_eval = ref [] in
-  let wid = ref 0 in
-  Array.iter
-    (fun (ws, _, killers) ->
-      match killers with
-      | Some ks ->
-        List.iter
-          (fun k ->
-            killers_of.(!wid) <- k;
-            incr wid)
-          ks
-      | None ->
-        List.iter
-          (fun _ ->
-            to_eval := !wid :: !to_eval;
-            incr wid)
-          ws)
-    per_example;
-  let to_eval = Array.of_list (List.rev !to_eval) in
+  Array.iteri
+    (fun i -> function
+      | Prior ev ->
+        List.iteri (fun j k -> killers_of.(first_wid.(i) + j) <- k) ev.killers
+      | Fresh | Same_as _ -> ())
+    sources;
+  let to_eval =
+    Array.of_list
+      (List.filter
+         (fun wid ->
+           match sources.(witnesses.(wid).ex_idx) with
+           | Fresh -> true
+           | Prior _ | Same_as _ -> false)
+         (List.init n_wit Fun.id))
+  in
   let rows = Array.make n_cand [] in
   let killed_by_cand = Array.make n_cand [] in
   Obs.span "ilp.kill_matrix" (fun () ->
@@ -300,6 +383,15 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
       for ci = 0 to n_cand - 1 do
         List.iter (fun wi -> killers_of.(wi) <- ci :: killers_of.(wi)) rows.(ci)
       done;
+      Array.iteri
+        (fun i -> function
+          | Same_as k ->
+            List.iter
+              (fun wid ->
+                killers_of.(wid) <- killers_of.(first_wid.(k) + wid - first_wid.(i)))
+              wit_ids_of_ex.(i)
+          | Prior _ | Fresh -> ())
+        sources;
       for wi = 0 to n_wit - 1 do
         List.iter
           (fun ci -> killed_by_cand.(ci) <- wi :: killed_by_cand.(ci))
@@ -316,7 +408,9 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
   (* search state: [surviving.(i)] counts example [i]'s unkilled
      witnesses, so the pending scans read one cell per example *)
   let kill_count = Array.make n_wit 0 in
-  let banned = Array.make n_cand false in
+  (* [banned.(ci)] is the search node that banned candidate [ci], 0 when
+     it is not banned *)
+  let banned = Array.make n_cand 0 in
   let sacrificed = Array.make n_ex false in
   let surviving = Array.map List.length wit_ids_of_ex in
   let nodes = ref 0 in
@@ -467,20 +561,43 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
      let current_cost = ref !base_penalty in
      let dead_penalty = ref 0 in
      let current_choice = ref [] in
-     let rec next_pending () =
-       (* first negative example, not sacrificed, with an unkilled witness *)
-       let rec go i =
-         if i >= n_ex then None
-         else if
-           examples.(i).Example.label = Example.Negative
-           && (not sacrificed.(i))
-           && surviving.(i) > 0
-         then Some i
-         else go (i + 1)
-       in
-       go 0
+     (* the negative examples, in order: down a branch kills and
+        sacrifices only accumulate, so a negative that is not pending at
+        a node is not pending below it, and each node's scan starts at
+        its parent's pending position *)
+     let negatives =
+       Array.of_list
+         (List.filter
+            (fun i -> examples.(i).Example.label = Example.Negative)
+            (List.init n_ex Fun.id))
+     in
+     let n_neg = Array.length negatives in
+     (* a witness's killers by cost, sorted (stably, so ties keep their
+        descending index order) the first time the search branches on it *)
+     let by_cost = Array.make n_wit [] in
+     let sorted = Array.make n_wit false in
+     let killers_by_cost wid =
+       if not sorted.(wid) then begin
+         by_cost.(wid) <-
+           List.stable_sort
+             (fun a b ->
+               Int.compare candidates.(a).Hypothesis_space.cost
+                 candidates.(b).Hypothesis_space.cost)
+             killers_of.(wid);
+         sorted.(wid) <- true
+       end;
+       by_cost.(wid)
+     in
+     let rec next_pending p =
+       (* first position from [p] of a negative example, not sacrificed,
+          with an unkilled witness; [n_neg] when there is none *)
+       if p >= n_neg then p
+       else
+         let i = negatives.(p) in
+         if (not sacrificed.(i)) && surviving.(i) > 0 then p
+         else next_pending (p + 1)
      and leaf_total () = !current_cost + !dead_penalty
-     and choose ci k =
+     and choose ci from =
        current_cost := !current_cost + candidates.(ci).Hypothesis_space.cost;
        current_choice := ci :: !current_choice;
        incr search_depth;
@@ -502,7 +619,7 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
                | Some w -> dead_penalty := !dead_penalty + w
            end)
          killed_by_cand.(ci);
-       if not !hard_pos_dead then k ();
+       if not !hard_pos_dead then dfs from;
        List.iter
          (fun wid ->
            kill_count.(wid) <- kill_count.(wid) - 1;
@@ -522,7 +639,7 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
        decr search_depth;
        current_choice := List.tl !current_choice;
        current_cost := !current_cost - candidates.(ci).Hypothesis_space.cost
-     and dfs () =
+     and dfs from =
        incr nodes;
        Obs.Counter.incr c_search_nodes;
        (match !best with
@@ -531,8 +648,8 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
          incr pruned;
          Obs.Counter.incr c_nodes_pruned
        | _ -> (
-         match next_pending () with
-         | None ->
+         let p = next_pending from in
+         if p = n_neg then begin
            let total = leaf_total () in
            (match !best with
            | Some (bcost, _, _) when total >= bcost -> ()
@@ -557,7 +674,9 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
              in
              if total < max_int / 4 then
                best := Some (total, !current_choice, sac @ pos_dead))
-         | Some ei ->
+         end
+         else begin
+           let ei = negatives.(p) in
            (* pick its first unkilled witness *)
            let wid =
              List.find (fun wid -> kill_count.(wid) = 0) wit_ids_of_ex.(ei)
@@ -566,31 +685,31 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
               returns it is banned from its later siblings, their subtrees
               and the sacrifice branch, until this node returns: every
               killer set is then reached once, at its first position in
-              the unbanned order. *)
-           let killers =
-             List.sort
-               (fun a b ->
-                 Int.compare candidates.(a).Hypothesis_space.cost
-                   candidates.(b).Hypothesis_space.cost)
-               (List.filter (fun ci -> not banned.(ci)) killers_of.(wid))
-           in
+              the unbanned order. A subtree unbans what it bans, so the
+              killers this node finds unbanned are those it would find
+              unbanned on entry. *)
+           let node = !nodes in
+           let killers = killers_by_cost wid in
            List.iter
              (fun ci ->
-               choose ci dfs;
-               banned.(ci) <- true)
+               if banned.(ci) = 0 then begin
+                 choose ci p;
+                 banned.(ci) <- node
+               end)
              killers;
            (* branch: sacrifice the example *)
            (match examples.(ei).Example.weight with
            | Some w ->
              sacrificed.(ei) <- true;
              current_cost := !current_cost + w;
-             dfs ();
+             dfs p;
              current_cost := !current_cost - w;
              sacrificed.(ei) <- false
            | None -> ());
-           List.iter (fun ci -> banned.(ci) <- false) killers))
+           List.iter (fun ci -> if banned.(ci) = node then banned.(ci) <- 0) killers
+         end))
      in
-     Obs.span "ilp.search" dfs
+     Obs.span "ilp.search" (fun () -> dfs 0)
    with Infeasible -> ());
   Obs.set_attr "witnesses" (string_of_int n_wit);
   Obs.set_attr "truncated" (string_of_int n_truncated);
@@ -622,20 +741,18 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
             max_depth = !max_depth;
           };
         evidence =
-          (let wid = ref 0 in
-           Array.to_list
-             (Array.map
-                (fun (ws, truncated, _) ->
-                  let killers =
-                    List.map
-                      (fun _ ->
-                        let k = killers_of.(!wid) in
-                        incr wid;
-                        k)
-                      ws
-                  in
-                  { witnesses = ws; truncated; killers })
-                per_example));
+          Array.to_list
+            (Array.mapi
+               (fun i witnesses ->
+                 let truncated = snd found.(i) and context, fingerprint = key.(i) in
+                 let killers =
+                   match sources.(i) with
+                   | Prior ev -> ev.killers
+                   | Fresh | Same_as _ ->
+                     List.mapi (fun j _ -> killers_of.(first_wid.(i) + j)) witnesses
+                 in
+                 { witnesses; truncated; killers; context; fingerprint })
+               per_example);
         max_witnesses;
       }
 
@@ -731,40 +848,60 @@ let learn ?pool ?max_witnesses ?carried (t : Task.t) : outcome option =
   else learn_general t
 
 (** How many of the task's examples [G : h] covers, [G] the task's base
-    GPM and [outcome] the result of learning the task. A constraint-only
-    [h] only removes answer sets, so an example is decided by its
-    witnesses: a positive one is covered iff some witness survives [h], a
+    GPM and [outcome] the result of learning the task. When every
+    candidate of [h] is (physically) one of the task's space, a
+    constraint-only [h] only removes answer sets, so an example is decided
+    by its killer lists: a witness survives iff none of its killers is in
+    [h], and a positive example is covered iff some witness survives, a
     negative one iff none does. {!Task.covers} decides an example whose
-    witnesses were truncated, and every example when [h] has a
-    non-constraint rule or there are no witnesses (the general path, or
-    no outcome). *)
+    witnesses were truncated, and every example when [h] has a candidate
+    outside the space (a projected witness cannot judge a rule that may
+    read what the space cannot) or there are no witnesses (the general
+    path, or no outcome). *)
 let covered (t : Task.t) (outcome : outcome option) (h : Task.hypothesis) :
     int =
-  let evidence =
-    match outcome with
-    | Some o when List.for_all Hypothesis_space.is_constraint_candidate h ->
-      o.evidence
-    | Some _ | None -> []
-  in
   let extended = lazy (Task.apply_hypothesis t.Task.gpm h) in
   let covers e = Task.covers (Lazy.force extended) e in
-  let rules = List.map (fun c -> (c, instantiator c)) h in
-  let survives w =
-    not (List.exists (fun (c, instantiate) -> kills_with instantiate c w) rules)
-  in
   let count f l = List.fold_left (fun n x -> if f x then n + 1 else n) 0 l in
-  if List.compare_lengths evidence t.Task.examples <> 0 then
-    count covers t.Task.examples
-  else
-    count
-      (fun ((e : Example.t), ev) ->
-        if ev.truncated then covers e
-        else
-          let alive = List.exists survives ev.witnesses in
-          match e.Example.label with
-          | Example.Positive -> alive
-          | Example.Negative -> not alive)
-      (List.combine t.Task.examples evidence)
+  (* [in_h.(k)]: the space's [k]th candidate is in [h]; [None] when some
+     candidate of [h] is not in the space *)
+  let in_h () =
+    let in_h = Array.make (List.length t.Task.space) false in
+    let rec index k c = function
+      | [] -> None
+      | c' :: rest -> if c' == c then Some k else index (k + 1) c rest
+    in
+    if
+      List.for_all
+        (fun c ->
+          match index 0 c t.Task.space with
+          | Some k ->
+            in_h.(k) <- true;
+            true
+          | None -> false)
+        h
+    then Some in_h
+    else None
+  in
+  match outcome with
+  | Some o when List.compare_lengths o.evidence t.Task.examples = 0 -> (
+    match in_h () with
+    | None -> count covers t.Task.examples
+    | Some in_h ->
+      let survives killers = not (List.exists (Array.get in_h) killers) in
+      List.fold_left2
+        (fun n (e : Example.t) ev ->
+          let covered =
+            if ev.truncated then covers e
+            else
+              let alive = List.exists survives ev.killers in
+              match e.Example.label with
+              | Example.Positive -> alive
+              | Example.Negative -> not alive
+          in
+          if covered then n + 1 else n)
+        0 t.Task.examples o.evidence)
+  | Some _ | None -> count covers t.Task.examples
 
 let pp_outcome ppf o =
   Fmt.pf ppf "learned %d rule(s), cost %d, penalty %d (%d witnesses%s, %d nodes, %.3fs)"

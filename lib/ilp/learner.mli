@@ -49,6 +49,12 @@ type evidence = {
   killers : int list list;
       (** per witness, in order: the indices into the task's space of the
           candidates that kill it, in descending order *)
+  context : Asp.Program.t;
+      (** the example's context projected onto what [G : S_M] reads
+          ({!Asg.Membership.project}): with the sentence, the evidence's
+          key. [witnesses] were enumerated under it, or under the whole
+          context when [truncated]. *)
+  fingerprint : int;  (** [Asp.Program.fingerprint context] *)
 }
 
 type outcome = {
@@ -58,11 +64,11 @@ type outcome = {
   sacrificed : Example.t list;
   stats : stats;
   evidence : evidence list;
-      (** per task example, in order: its witnesses, truncation flag and
-          killer lists. A function of the base GPM, the space, the cap and
-          the example alone, so a later learn over the same three reuses
-          it ([?carried] of {!learn_constraints}). Empty on the general
-          path. *)
+      (** per task example, in order: its witnesses, truncation flag,
+          killer lists and key. A function of the base GPM, the space,
+          the cap and the example alone, so a later learn over the same
+          three reuses it ([?carried] of {!learn_constraints}). Empty on
+          the general path. *)
   max_witnesses : int;
       (** the cap [evidence] was enumerated under; 0 on the general path *)
 }
@@ -87,12 +93,16 @@ val kills : Hypothesis_space.candidate -> witness -> bool
 
 (** [covered t outcome h]: how many of [t]'s examples [G : h] covers,
     for [G] the task's base GPM and [outcome] the result of learning [t].
-    When [h] is constraint-only it is read from the outcome's witnesses
-    (a positive example is covered iff some witness survives [h], a
-    negative one iff none does), without solving; {!Task.covers} decides
-    an example whose witnesses were truncated, and every example when [h]
-    has a non-constraint rule or the outcome holds no witnesses (the
-    general path, or [None]). Equal to counting {!Task.covers} under
+    When every candidate of [h] is one of [t]'s space (physically: each
+    is mapped to its index in the space), it is read from the outcome's
+    killer lists without solving: a witness survives [h] iff none of its
+    killers is in [h], and a positive example is covered iff some
+    witness survives, a negative one iff none does. {!Task.covers}
+    decides an example whose witnesses were truncated, and every example
+    when [h] has a candidate outside the space (a coalition [install]: a
+    projected witness cannot judge a rule that may read a fact the space
+    cannot) or the outcome holds no witnesses (the general path, or
+    [None]). Equal to counting {!Task.covers} under
     [Task.apply_hypothesis G h]. *)
 val covered : Task.t -> outcome option -> Task.hypothesis -> int
 
@@ -111,18 +121,43 @@ val greedy_score_compare : int * int * int -> int * int * int -> int
     witness of the first pending negative example, cheapest first, then
     on sacrificing a soft example; a killer whose branch has returned is
     left out of its later siblings and the sacrifice branch, so every
-    killer set is searched once. It stops after [max_nodes] nodes
-    (default 300,000) with the best hypothesis found so far.
+    killer set is searched once. Down a branch kills and sacrifices only
+    accumulate, so each node looks for its pending negative from its
+    parent's; a witness's killers are sorted by cost the first time the
+    search branches on it. It stops after [max_nodes] nodes (default
+    300,000) with the best hypothesis found so far.
+
+    Evidence is keyed on what the space reads. The learner's view is
+    [G : S_M], the base GPM with every candidate of the space added
+    ({!Task.apply_hypothesis}); an example's key is its sentence and its
+    context projected onto what that view reads
+    ({!Asg.Membership.project}, {!Asg.Gpm.reads}). A fact no rule of
+    [G : S_M] reads only adds itself to every answer set (the
+    splitting-set argument of {!Asg.Gpm.reads}), so an example's
+    witnesses are enumerated under the projected context: their count
+    and every kill column are those of the whole context, though their
+    models lack the unread facts. An example takes its evidence, in
+    order, from: the carried outcome, when the example itself is in the
+    carried task; untruncated evidence with an equal key in the carried
+    outcome; the first example of this learn with that key. Only a new
+    key is solved, once, and has its kill column evaluated, once. Keys
+    are assigned in example order before the fan-out, so the outcome is
+    the same at every pool size. Keys are bucketed by the sentence and
+    {!Asp.Program.fingerprint} and confirmed by {!Asp.Program.equal}.
+    The cap keeps a prefix of an enumeration order that unread facts may
+    change, so an example whose enumeration hits it is enumerated on its
+    whole context and is never shared. Examples that take evidence from
+    an equal key are counted in the [ilp.examples_shared] counter.
 
     [carried] is an earlier task and its outcome (a relearn's previous
-    learn). When that task has the same base GPM and space (physically)
-    and its outcome was learned under the same [max_witnesses], every
-    example physically present in it takes its witnesses, truncation
-    flag and killer lists from that outcome (counted in the
-    [ilp.examples_carried] counter); only the other examples are
-    enumerated and evaluated against the candidates. Otherwise it is
-    ignored. The outcome, its stats (timings aside) and its evidence
-    are those of a learn without [carried]. *)
+    learn). It is used when that task has the same base GPM and space
+    (physically) and its outcome was learned under the same
+    [max_witnesses]: an example physically present in it takes its
+    witnesses, truncation flag and killer lists from that outcome
+    (counted in the [ilp.examples_carried] counter), and the outcome's
+    untruncated evidence is shared by key. Otherwise it is ignored. The
+    outcome, its stats (timings aside) and its evidence are those of a
+    learn without [carried]. *)
 val learn_constraints :
   ?pool:Par.t ->
   ?max_witnesses:int ->

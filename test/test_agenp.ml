@@ -531,7 +531,7 @@ let prop_carried_relearn_matches_fresh ~domains =
     (if domains = 1 then "sequential" else "two-domain")
     ^ " padap: carried relearn = fresh learn"
   in
-  QCheck2.Test.make ~name ~count:(if domains = 1 then 40 else 15)
+  QCheck2.Test.make ~name ~count:(if domains = 1 then 40 else 15) ~long_factor:10
     QCheck2.Gen.(
       pair (int_range 1 10)
         (list_size (int_bound 30)

@@ -261,6 +261,39 @@ let test_context_copies_at_depth () =
   Alcotest.(check bool) "deep node sees its context copy" false
     (Asg.Membership.accepts_in_context g ~context:ctx "t")
 
+(* A context fact is copied only at the traces where a rule of the
+   tree's program names it: a child's rule (weather, at [1]) and a
+   child's choice head (p) still get their copies, and the tally counts
+   only the copies built. *)
+let test_copies_where_rules_read () =
+  let g =
+    Asg.Asg_parser.parse
+      {| start -> decision { :- result(go)@1, closed. }
+         decision -> "go" { result(go). :- weather(snow). }
+                   | "choose" { 1 { p ; q } 1. :- not q. } |}
+  in
+  let ask ctx sentence =
+    let context = parse_ctx ctx in
+    let tally = Asg.Membership.tally () in
+    let accepted =
+      Asg.Membership.accepts_in_context ~tally g ~context sentence
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s under %s: as from scratch" sentence ctx)
+      (Asg.Membership.accepts_uncompiled ~context g
+         (Asg.Membership.tokenize sentence))
+      accepted;
+    (accepted, tally.facts)
+  in
+  let check name expected (ctx, sentence) =
+    Alcotest.(check (pair bool int)) name expected (ask ctx sentence)
+  in
+  check "a child's rule reads its copy" (false, 1) ("weather(snow).", "go");
+  check "the root's rule reads the root copy" (false, 1) ("closed.", "go");
+  check "a child's choice head reads its copy" (false, 1) ("p.", "choose");
+  check "no rule of the tree names weather" (true, 0)
+    ("weather(snow).", "choose")
+
 let test_shared_annotation_exposed () =
   let g = Asg.Gpm.with_context (decision_gpm ()) (parse_ctx "risky.") in
   Alcotest.(check int) "shared rules recorded" 1
@@ -473,6 +506,8 @@ let () =
           Alcotest.test_case "gpm clean" `Quick test_gpm_clean;
           Alcotest.test_case "ambiguous membership" `Quick test_ambiguous_membership;
           Alcotest.test_case "context at depth" `Quick test_context_copies_at_depth;
+          Alcotest.test_case "copies where rules read" `Quick
+            test_copies_where_rules_read;
           Alcotest.test_case "shared annotation" `Quick test_shared_annotation_exposed;
           Alcotest.test_case "compiled view per value" `Quick
             test_compiled_view_per_value;

@@ -673,6 +673,7 @@ let prop_covered_matches_covers =
   and cav_gpm = Workloads.Cav.gpm ()
   and cav_space = Hypothesis_space.generate (Workloads.Cav.modes ()) in
   QCheck2.Test.make ~name:"witness-derived coverage = Task.covers" ~count:20
+    ~long_factor:10
     QCheck2.Gen.(
       quad bool (int_bound 1000)
         (list_size (int_range 1 5) bool)
@@ -843,6 +844,7 @@ let print_search_task (fam, seed, n, marks) =
 let prop_search_matches_reference =
   let max_nodes = 20_000 in
   QCheck2.Test.make ~name:"search = old search when it finishes" ~count:100
+    ~long_factor:10
     ~print:print_search_task gen_search_task (fun (fam, seed, n, marks) ->
       let _, gpm, space, examples = Lazy.force search_families.(fam) in
       let t =
@@ -861,11 +863,179 @@ let prop_search_matches_reference =
                o.Learner.sacrificed
         | Some _, None | None, Some _ -> false))
 
+(* ---- Evidence keyed on what the space reads ---- *)
+
+let counter name =
+  Option.fold ~none:0 ~some:Obs.Counter.value (Obs.Counter.find name)
+
+let same_result (r : Reference_search.result option) (o : Learner.outcome option)
+    =
+  match (r, o) with
+  | None, None -> true
+  | Some r, Some o ->
+    List.equal ( == ) r.Reference_search.hypothesis o.Learner.hypothesis
+    && r.Reference_search.cost = o.Learner.cost
+    && r.Reference_search.penalty = o.Learner.penalty
+    && List.equal ( == ) r.Reference_search.sacrificed o.Learner.sacrificed
+  | Some _, None | None, Some _ -> false
+
+(* Two examples that differ only in a fact no rule of G : S_M reads
+   ([pad]) have one key: one witness solve and one kill column serve
+   both, and the outcome is the whole-context search's. *)
+let test_shared_key_solves_once () =
+  let examples =
+    [
+      Example.negative_ctx "accept" "weather(snow). pad(1).";
+      Example.negative_ctx "accept" "weather(snow). pad(2).";
+      Example.positive_ctx "accept" "weather(sun).";
+    ]
+  in
+  let t =
+    Task.make ~gpm:(decision_gpm ()) ~space:(weather_space ()) ~examples
+  in
+  let solves = counter "ilp.hypothesis_evals"
+  and shared = counter "ilp.examples_shared" in
+  let o = Learner.learn_constraints t in
+  Alcotest.(check int) "one solve per key" 2
+    (counter "ilp.hypothesis_evals" - solves);
+  Alcotest.(check int) "one example shared" 1
+    (counter "ilp.examples_shared" - shared);
+  (match o with
+  | Some { Learner.evidence = [ a; b; _ ]; _ } ->
+    Alcotest.(check bool) "one kill column" true
+      (a.Learner.killers <> [ [] ]
+      && List.equal ( == ) a.Learner.killers b.Learner.killers);
+    Alcotest.(check int) "keyed on the read fact" 1
+      (Asp.Program.size b.Learner.context)
+  | Some _ | None -> Alcotest.fail "three examples' evidence");
+  Alcotest.(check bool) "= whole-context search" true
+    (same_result (fst (Reference_search.learn t)) o)
+
+(* Under a cap of 1 the choice family truncates every example. The cap
+   keeps a prefix of an order unread facts may change, so an example of
+   a truncated key is enumerated on its whole context and shares
+   nothing. *)
+let test_truncated_key_not_shared () =
+  let _, gpm, space, _ = Lazy.force search_families.(5) in
+  let examples =
+    [
+      Example.positive_ctx ~weight:1 "accept" "weather(sun). pad(1).";
+      Example.positive_ctx ~weight:1 "accept" "weather(sun). pad(2).";
+      Example.negative_ctx ~weight:1 "accept" "weather(snow).";
+      Example.positive_ctx ~weight:1 "reject" "weather(snow).";
+    ]
+  in
+  let t = Task.make ~gpm ~space ~examples in
+  let shared = counter "ilp.examples_shared" in
+  let o = Learner.learn_constraints ~max_witnesses:1 t in
+  Alcotest.(check int) "nothing shared" 0
+    (counter "ilp.examples_shared" - shared);
+  (match o with
+  | Some o ->
+    Alcotest.(check int) "every example truncated" 4
+      o.Learner.stats.Learner.truncated;
+    (* the padded examples' witnesses hold their own pad fact *)
+    List.iteri
+      (fun i (ev : Learner.evidence) ->
+        if i < 2 then
+          Alcotest.(check bool) "enumerated on its whole context" true
+            (List.for_all
+               (fun (w : Learner.witness) ->
+                 contains
+                   (Printf.sprintf "pad(%d)" (i + 1))
+                   (Asp.Solver.model_to_string w.Learner.model))
+               ev.Learner.witnesses))
+      o.Learner.evidence
+  | None -> Alcotest.fail "capped task should solve");
+  Alcotest.(check bool) "= whole-context search" true
+    (same_result (fst (Reference_search.learn ~max_witnesses:1 t)) o)
+
+(* A candidate outside the space (a coalition install) may read a fact
+   no candidate of the space reads ([alarm]), which the projected
+   witnesses no longer hold: [covered] counts through Task.covers. *)
+let test_covered_outside_candidate () =
+  let examples =
+    [
+      Example.positive_ctx "accept" "weather(sun). alarm(on).";
+      Example.positive_ctx "accept" "weather(sun).";
+      Example.negative_ctx "accept" "weather(snow).";
+      Example.positive_ctx "reject" "weather(snow). alarm(on).";
+    ]
+  in
+  let t =
+    Task.make ~gpm:(decision_gpm ()) ~space:(weather_space ()) ~examples
+  in
+  let outcome = Learner.learn_constraints t in
+  (match outcome with
+  | Some { Learner.evidence = first :: _; _ } ->
+    Alcotest.(check int) "alarm is not in the key" 1
+      (Asp.Program.size first.Learner.context)
+  | Some _ | None -> Alcotest.fail "task should solve");
+  let outside =
+    Hypothesis_space.of_rules [ (":- result(accept)@1, alarm(on).", [ 0 ]) ]
+  in
+  let learned =
+    match outcome with Some o -> o.Learner.hypothesis | None -> []
+  in
+  List.iter
+    (fun h ->
+      Alcotest.(check int) "covered = Task.covers" (covers_count t h)
+        (Learner.covered t outcome h))
+    [ outside; outside @ learned; learned @ outside ];
+  Alcotest.(check int) "the outside rule uncovers one example" 3
+    (covers_count t (outside @ learned))
+
+(* Contexts padded with facts nothing in G : S_M reads: a subject id, a
+   fresh predicate, and a constant no mode names. *)
+let pad i (e : Example.t) =
+  let padding =
+    Asp.Parser.parse_program
+      (Printf.sprintf "attr(subject, id, u%d). pad_%d(%d). weather(hail)."
+         (i mod 4) (i mod 3) i)
+  in
+  { e with Example.context = Asp.Program.append e.Example.context padding }
+
+(* Keyed evidence changes what is solved, not what is learned. The padded
+   task (every third example repeated) learns what the old search learns
+   from whole-context witnesses, and searches as the unpadded one: the
+   padding projects away, so the two solve the same programs. *)
+let prop_keyed_evidence_matches_whole_context =
+  let max_nodes = 20_000 in
+  QCheck2.Test.make ~name:"keyed evidence = whole-context learn" ~count:100
+    ~long_factor:10 ~print:print_search_task gen_search_task
+    (fun (fam, seed, n, marks) ->
+      let _, gpm, space, examples = Lazy.force search_families.(fam) in
+      let examples = mark_examples marks (examples seed n) in
+      let examples =
+        examples @ List.filteri (fun i _ -> i mod 3 = 0) examples
+      in
+      let plain = Task.make ~gpm ~space ~examples in
+      let padded = Task.make ~gpm ~space ~examples:(List.mapi pad examples) in
+      let o = Learner.learn_constraints ~max_nodes padded in
+      let same_search =
+        match (o, Learner.learn_constraints ~max_nodes plain) with
+        | None, None -> true
+        | Some a, Some b ->
+          let sa = a.Learner.stats and sb = b.Learner.stats in
+          List.equal ( == ) a.Learner.hypothesis b.Learner.hypothesis
+          && sa.Learner.nodes = sb.Learner.nodes
+          && sa.Learner.kill_cells = sb.Learner.kill_cells
+          && sa.Learner.witnesses = sb.Learner.witnesses
+          && sa.Learner.truncated = sb.Learner.truncated
+        | Some _, None | None, Some _ -> false
+      in
+      same_search
+      &&
+      match Reference_search.learn ~max_nodes padded with
+      | _, nodes when nodes > max_nodes -> true
+      | reference, _ -> same_result reference o)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_learner_sound; prop_optimality_cost_bound;
       prop_generated_spaces_are_safe_and_unique; prop_candidate_costs_positive;
-      prop_covered_matches_covers; prop_search_matches_reference ]
+      prop_covered_matches_covers; prop_search_matches_reference;
+      prop_keyed_evidence_matches_whole_context ]
 
 let () =
   (* the truncation tests deliberately trip the learner's witness-cap
@@ -901,6 +1071,12 @@ let () =
             test_covered_non_constraint_fallback;
           Alcotest.test_case "covered: truncation fallback" `Quick
             test_covered_truncation_fallback;
+          Alcotest.test_case "shared key: one solve" `Quick
+            test_shared_key_solves_once;
+          Alcotest.test_case "truncated key: not shared" `Quick
+            test_truncated_key_not_shared;
+          Alcotest.test_case "covered: outside candidate" `Quick
+            test_covered_outside_candidate;
         ] );
       ( "preference",
         [

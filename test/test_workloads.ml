@@ -584,7 +584,7 @@ let compiled_questions (ci, model, kinds) =
    value asked under every context in turn. *)
 let prop_compiled_membership =
   QCheck2.Test.make ~name:"compiled membership = from-scratch membership"
-    ~count:60 ~print:print_compiled_input gen_compiled_input (fun input ->
+    ~count:60 ~long_factor:10 ~print:print_compiled_input gen_compiled_input (fun input ->
       let c, model, questions = compiled_questions input in
       let g = compiled_model c model in
       let scratch =
@@ -683,7 +683,7 @@ let print_projected_input (ci, ((picks, latent), (choice, reads_id)), kinds) =
    from-scratch check on the whole context. *)
 let prop_projected_membership =
   QCheck2.Test.make ~name:"projected membership = unprojected membership"
-    ~count:60 ~print:print_projected_input gen_projected_input
+    ~count:60 ~long_factor:10 ~print:print_projected_input gen_projected_input
     (fun (ci, ((picks, latent), (choice, reads_id)), kinds) ->
       let c = Lazy.force compiled_cases.(ci) in
       let g = compiled_model c (picks, latent) in
