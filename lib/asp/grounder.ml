@@ -660,22 +660,17 @@ let compute_possible_atoms (p : Program.t) : base =
     expanded and kept only when their atom is derivable, aggregates are
     instantiated for model-time evaluation. Comparisons were already
     checked by the join plan. Returns [None] when the instance can never
-    fire (a negative literal failed to evaluate). The last component of
-    the result is {e every} ground negative instance in body order —
-    including the trivially-true ones dropped from the second component —
-    which the incremental grounder re-filters when delta facts extend the
-    base ([gneg] is its restriction to the current base). *)
+    fire (a negative literal failed to evaluate). *)
 let ground_body b subst ~pos_insts (body : Rule.body_elt list) :
-    (Atom.t list * Atom.t list * Rule.count list * Atom.t list) option =
+    (Atom.t list * Atom.t list * Rule.count list) option =
   let exception Inapplicable in
   let pos_sorted =
     List.sort (fun (s1, _) (s2, _) -> Int.compare s1 s2) pos_insts
   in
   let next = ref pos_sorted in
   try
-    let rec go pos neg counts all_neg = function
-      | [] ->
-        Some (List.rev pos, List.rev neg, List.rev counts, List.rev all_neg)
+    let rec go pos neg counts = function
+      | [] -> Some (List.rev pos, List.rev neg, List.rev counts)
       | Rule.Pos _ :: rest ->
         let ga =
           match !next with
@@ -684,32 +679,31 @@ let ground_body b subst ~pos_insts (body : Rule.body_elt list) :
             ga
           | [] -> raise Inapplicable (* join always supplies every slot *)
         in
-        go (ga :: pos) neg counts all_neg rest
+        go (ga :: pos) neg counts rest
       | Rule.Neg a :: rest ->
         let a' = Atom.apply subst a in
         let instances =
           if atom_has_interval a' then expand_atom_memo b a' else [ a' ]
         in
-        let neg, all_neg =
+        let neg =
           List.fold_left
-            (fun (neg, all_neg) inst ->
+            (fun neg inst ->
               match Atom.eval inst with
               | Some ga when Atom.is_ground ga ->
                 (* a negative literal over an underivable atom is
                    trivially true and drops out *)
-                ((if base_mem b ga then ga :: neg else neg), ga :: all_neg)
+                if base_mem b ga then ga :: neg else neg
               | _ -> raise Inapplicable)
-            (neg, all_neg) instances
+            neg instances
         in
-        go pos neg counts all_neg rest
-      | Rule.Cmp _ :: rest ->
-        go pos neg counts all_neg rest (* checked by the join *)
+        go pos neg counts rest
+      | Rule.Cmp _ :: rest -> go pos neg counts rest (* checked by the join *)
       | Rule.Count c :: rest -> (
         match Rule.apply_body_elt subst (Rule.Count c) with
-        | Rule.Count c' -> go pos neg (c' :: counts) all_neg rest
+        | Rule.Count c' -> go pos neg (c' :: counts) rest
         | _ -> raise Inapplicable)
     in
-    go [] [] [] [] body
+    go [] [] [] body
   with Inapplicable -> None
 
 (** Per-choice-element compiled condition plan (phase 2): run with the
@@ -745,36 +739,10 @@ let head_instances_choice b subst (elems : elem_plan list) : Atom.t list =
       !results)
     elems
 
-(** One phase-2 rule instance, together with the re-grounding hooks the
-    incremental layer needs: the full (pre-drop) ordered negative
-    instances, and for choice heads the substitution and element plans so
-    element enumeration can be repeated against an extended base. *)
-type emission = {
-  em_rule : ground_rule;
-  em_all_negs : Atom.t list;
-      (** every ground negative instance in body order; [em_rule.gneg] is
-          its restriction to the base *)
-  em_choice : (Term.subst * int option * elem_plan list * int option) option;
-}
-
-(** A choice-rule body instance whose head had no instantiable element
-    and no lower bound: [ground] emits nothing for it, but delta facts
-    can make an element condition satisfiable, so the incremental
-    grounder keeps it dormant and revives it then. *)
-type dormant = {
-  d_subst : Term.subst;
-  d_l : int option;
-  d_u : int option;
-  d_elems : elem_plan list;
-  d_gpos : Atom.t list;
-  d_all_negs : Atom.t list;
-  d_gcounts : Rule.count list;
-}
-
 (** Context-free compilation of a rule head: everything about emitting it
     that does not depend on the base, so the incremental grounder can
-    compile once at freeze time and re-run the action against extended
-    bases. *)
+    compile once at freeze time and run the action against each batch's
+    base. *)
 type chead =
   | CAtom of Atom.t * bool * bool  (** atom, interval?, binop? *)
   | CFalse
@@ -804,94 +772,71 @@ let compile_chead (r : Rule.t) ~bound : chead =
     in
     CChoice (l, elems, u)
 
-let emit_head_atom b ~emit_plain a ~iv ~ev subst gpos gneg gcounts ~all_negs =
+let emit_head_atom b ~emit a ~iv ~ev subst gpos gneg gcounts =
   let a = Atom.apply subst a in
   if iv then
     List.iter
       (fun inst ->
         match Atom.eval inst with
         | Some ga when Atom.is_ground ga ->
-          emit_plain { ghead = GAtom ga; gpos; gneg; gcounts } all_negs
+          emit { ghead = GAtom ga; gpos; gneg; gcounts }
         | _ -> ())
       (expand_atom_memo b a)
   else if ev then (
     match Atom.eval a with
-    | Some ga -> emit_plain { ghead = GAtom ga; gpos; gneg; gcounts } all_negs
+    | Some ga -> emit { ghead = GAtom ga; gpos; gneg; gcounts }
     | None -> ())
-  else emit_plain { ghead = GAtom a; gpos; gneg; gcounts } all_negs
+  else emit { ghead = GAtom a; gpos; gneg; gcounts }
 
 (** Turn a compiled head into the per-substitution emit action against
-    base [b]. *)
-let head_action b (r : Rule.t) (ch : chead) ~(emit : emission -> unit)
-    ~(emit_dormant : dormant -> unit) =
-  let emit_plain gr all_negs =
-    emit { em_rule = gr; em_all_negs = all_negs; em_choice = None }
-  in
+    base [b]. A choice head with no element instance and no lower bound
+    emits nothing. *)
+let head_action b (r : Rule.t) (ch : chead) ~(emit : ground_rule -> unit) =
   match ch with
   | CAtom (a, iv, ev) ->
-    fun subst gpos gneg gcounts all_negs ->
+    fun subst gpos gneg gcounts ->
       if gcounts <> [] then raise (Aggregate_in_rule r);
-      emit_head_atom b ~emit_plain a ~iv ~ev subst gpos gneg gcounts ~all_negs
+      emit_head_atom b ~emit a ~iv ~ev subst gpos gneg gcounts
   | CFalse ->
-    fun _ gpos gneg gcounts all_negs ->
-      emit_plain { ghead = GFalse; gpos; gneg; gcounts } all_negs
+    fun _ gpos gneg gcounts -> emit { ghead = GFalse; gpos; gneg; gcounts }
   | CWeak w ->
-    fun subst gpos gneg gcounts all_negs -> (
+    fun subst gpos gneg gcounts -> (
       match Term.eval (Term.apply subst w) with
       | Some (Term.Int cost) ->
-        emit_plain { ghead = GWeak cost; gpos; gneg; gcounts } all_negs
+        emit { ghead = GWeak cost; gpos; gneg; gcounts }
       | Some _ | None -> ())
   | CChoice (l, elems, u) ->
-    fun subst gpos gneg gcounts all_negs ->
+    fun subst gpos gneg gcounts ->
       if gcounts <> [] then raise (Aggregate_in_rule r);
       let atoms = head_instances_choice b subst elems in
       let atoms = List.sort_uniq Atom.compare atoms in
       if atoms <> [] || l <> None then
-        emit
-          {
-            em_rule = { ghead = GChoice (l, atoms, u); gpos; gneg; gcounts };
-            em_all_negs = all_negs;
-            em_choice = Some (subst, l, elems, u);
-          }
-      else
-        emit_dormant
-          {
-            d_subst = subst;
-            d_l = l;
-            d_u = u;
-            d_elems = elems;
-            d_gpos = gpos;
-            d_all_negs = all_negs;
-            d_gcounts = gcounts;
-          }
+        emit { ghead = GChoice (l, atoms, u); gpos; gneg; gcounts }
+
+(** Run a rule's join plan against [b] with each positive literal of
+    join ordinal [o] restricted to [occ_of o], and emit its ground
+    instances through [action]. *)
+let instantiate_plan b (r : Rule.t) plan ~occ_of action =
+  run_plan b ~init:Term.subst_empty plan ~occ_of (fun subst pos_insts ->
+      match ground_body b subst ~pos_insts r.body with
+      | None -> ()
+      | Some (gpos, gneg, gcounts) -> action subst gpos gneg gcounts)
 
 (** Instantiate every rule of [p] against base [b] with selectivity-
-    ordered joins, calling [emit] per ground rule (in program order) and
-    [emit_dormant] per dormant choice-body instance. *)
-let instantiate_emissions b (p : Program.t) ~(emit : emission -> unit)
-    ~(emit_dormant : dormant -> unit) =
-  let emit_plain gr all_negs =
-    emit { em_rule = gr; em_all_negs = all_negs; em_choice = None }
-  in
+    ordered joins, calling [emit] per ground rule (in program order). *)
+let instantiate b (p : Program.t) ~(emit : ground_rule -> unit) =
   List.iter
     (fun (r : Rule.t) ->
       match (r.head, r.body) with
       | Rule.Head a, [] ->
         (* fact fast path: no join, no body assembly *)
-        emit_head_atom b ~emit_plain a ~iv:(atom_has_interval a)
-          ~ev:(atom_has_binop a) Term.subst_empty [] [] [] ~all_negs:[]
+        emit_head_atom b ~emit a ~iv:(atom_has_interval a)
+          ~ev:(atom_has_binop a) Term.subst_empty [] [] []
       | _ ->
         let plan, _, bound = make_plan r.body in
-        let action =
-          head_action b r (compile_chead r ~bound) ~emit ~emit_dormant
-        in
-        run_plan b ~init:Term.subst_empty plan
+        instantiate_plan b r plan
           ~occ_of:(fun _ -> Any)
-          (fun subst pos_insts ->
-            match ground_body b subst ~pos_insts r.body with
-            | None -> ()
-            | Some (gpos, gneg, gcounts, all_negs) ->
-              action subst gpos gneg gcounts all_negs))
+          (head_action b r (compile_chead r ~bound) ~emit))
     p.rules
 
 let base_set_of b =
@@ -913,6 +858,25 @@ let log_grounded p ~n_out ~base_set =
           ("possible_atoms", string_of_int (Atom.Set.cardinal base_set));
         ]
 
+(* The possible-atom base of [p] and its ground program. *)
+let ground_base (p : Program.t) : base * ground_program =
+  Obs.Counter.incr c_ground_calls;
+  List.iter
+    (fun r -> if not (Rule.is_safe r) then raise (Unsafe_rule r))
+    p.rules;
+  let b =
+    Obs.fine_span "asp.ground.possible" (fun () -> compute_possible_atoms p)
+  in
+  let out = ref [] in
+  let n_out = ref 0 in
+  Obs.fine_span "asp.ground.instantiate" (fun () ->
+      instantiate b p ~emit:(fun gr ->
+          out := gr :: !out;
+          incr n_out));
+  let base_set = base_set_of b in
+  log_grounded p ~n_out:!n_out ~base_set;
+  (b, { grules = List.rev !out; base = base_set })
+
 (** Ground a program: compute the possible-atom base (semi-naive, indexed),
     then instantiate every rule against it with selectivity-ordered joins.
 
@@ -928,25 +892,7 @@ let log_grounded p ~n_out ~base_set =
     @raise Aggregate_in_rule when an aggregate occurs outside a constraint
     or weak-constraint body. *)
 let ground (p : Program.t) : ground_program =
-  Obs.span "asp.ground" @@ fun () ->
-  Obs.Counter.incr c_ground_calls;
-  List.iter
-    (fun r -> if not (Rule.is_safe r) then raise (Unsafe_rule r))
-    p.rules;
-  let b =
-    Obs.fine_span "asp.ground.possible" (fun () -> compute_possible_atoms p)
-  in
-  let out = ref [] in
-  let n_out = ref 0 in
-  Obs.fine_span "asp.ground.instantiate" (fun () ->
-      instantiate_emissions b p
-        ~emit:(fun em ->
-          out := em.em_rule :: !out;
-          incr n_out)
-        ~emit_dormant:(fun _ -> ()));
-  let base_set = base_set_of b in
-  log_grounded p ~n_out:!n_out ~base_set;
-  { grules = List.rev !out; base = base_set }
+  Obs.span "asp.ground" @@ fun () -> snd (ground_base p)
 
 let size gp = List.length gp.grules
 let atom_count gp = Atom.Set.cardinal gp.base
@@ -954,131 +900,66 @@ let atom_count gp = Atom.Set.cardinal gp.base
 (* -- Incremental grounding -------------------------------------------- *)
 
 (** Two-stage incremental grounding. [freeze] grounds a context-free core
-    program once and keeps, besides the ground program itself, everything
+    program once and keeps, besides the ground program itself, what is
     needed to extend it by ground context facts without regrounding:
 
     - the possible-atom base with its indexes (layered over by each
-      overlay, never mutated);
-    - per emitted rule, its full ordered negative instances (when some
-      were dropped as trivially true) and its compiled choice-element
-      plans (when new base atoms could enable further elements) — the two
-      ways an {e existing} ground rule can change when the base grows;
-    - dormant choice-body instances that emitted nothing but could be
-      revived;
+      batch, never mutated);
     - the compiled phase-1 derivation templates and phase-2 join plans,
-      each indexed by the predicate at every join position, so a delta
-      touches only the plans that can see it.
+      each indexed by the predicate at every join position, so a batch
+      touches only the plans that can see it;
+    - the predicates whose new atoms could change an existing ground
+      rule: a negative literal's atom (dropped as trivially true while
+      underivable) and a choice element's condition (the head gains
+      elements).
 
-    An {!overlay} then adds one batch of context facts: phase 1
+    {!delta_with} then adds one batch of context facts: phase 1
     continues the core's semi-naive rounds in a child base layer (stamps
-    stay globally monotone), and phase 2 runs each affected plan with the
-    new [From] occurrence at the pivot — every new rule instance is
+    stay globally monotone), and phase 2 runs each affected plan with
+    the [From] occurrence at the pivot — every new rule instance is
     enumerated exactly once, at its first join position holding a new
-    atom. The frozen core is never touched. *)
+    atom. A batch whose phase 1 derives an atom of one of those
+    predicates is refused. The frozen core is never touched. *)
 module Incremental = struct
-  let jpos_live elems =
-    List.exists
-      (fun e ->
-        List.exists (function JPos _ -> true | _ -> false) e.e_plan)
-      elems
-
-  type frozen = {
-    fz_rule : ground_rule;
-    fz_negs : Atom.t list;
-        (** all ground negative instances in body order when at least one
-            was dropped as trivially true; [[]] when [gneg] is final *)
-    fz_choice : (Term.subst * int option * elem_plan list * int option) option;
-        (** present iff new base atoms could enable further elements *)
-  }
-
   type inst_rule = { ir_rule : Rule.t; ir_plan : jelt list; ir_chead : chead }
 
   type core = {
     k_base : base;
     k_next_round : int;
     k_ground : ground_program;
-    k_frozen : frozen array;  (** same order as [k_ground.grules] *)
-    k_latent : (Atom.t, int list ref) Hashtbl.t;
-        (** dropped negative atom -> frozen rules to re-filter if derived *)
-    k_choice_deps : (string * int, int list ref) Hashtbl.t;
-        (** element-condition predicate -> frozen choice rules to refresh *)
-    k_dormant : dormant array;
-    k_dormant_deps : (string * int, int list ref) Hashtbl.t;
+    k_refuse_on : (string * int) list;
+        (** negated and choice-condition predicates: a new atom of one of
+            them could change a core ground rule, so its batch is refused *)
     k_inst : inst_rule array;  (** phase-2 plans with >= 1 join literal *)
     k_inst_by_pred : (string * int, (int * int) list ref) Hashtbl.t;
         (** body predicate -> (inst rule, pivot ordinal) pairs to re-join *)
     k_templates : template list;
         (** phase-1 templates with >= 1 join literal *)
-    k_inert : bool;
-        (** asserted facts can have no consequences: nothing to join them
-            into (no template, no phase-2 plan) and nothing they could
-            repair or revive (no latent negation, choice dependency or
-            dormant rule) — the delta is then just the facts themselves *)
   }
 
   let core_ground k = k.k_ground
 
-  let add_dep tbl key i =
-    match Hashtbl.find_opt tbl key with
-    | Some l -> ( match !l with j :: _ when j = i -> () | _ -> l := i :: !l)
-    | None -> Hashtbl.replace tbl key (ref [ i ])
+  let pred_key (a : Atom.t) = (a.Atom.pred, Atom.arity a)
 
   let freeze (p : Program.t) : core =
     Obs.span "asp.ground" @@ fun () ->
-    Obs.Counter.incr c_ground_calls;
-    List.iter
-      (fun r -> if not (Rule.is_safe r) then raise (Unsafe_rule r))
-      p.rules;
-    let b =
-      Obs.fine_span "asp.ground.possible" (fun () -> compute_possible_atoms p)
-    in
-    let k_latent = Hashtbl.create 16 in
-    let k_choice_deps = Hashtbl.create 16 in
-    let k_dormant_deps = Hashtbl.create 16 in
-    let elem_cond_preds elems =
+    let b, k_ground = ground_base p in
+    let k_refuse_on =
       List.concat_map
-        (fun e ->
+        (fun (r : Rule.t) ->
           List.filter_map
-            (function
-              | JPos { atom; _ } -> Some (atom.Atom.pred, Atom.arity atom)
-              | JCheck _ | JBind _ -> None)
-            e.e_plan)
-        elems
+            (function Rule.Neg a -> Some (pred_key a) | _ -> None)
+            r.body
+          @
+          match r.head with
+          | Rule.Choice (_, elts, _) ->
+            List.concat_map
+              (fun (e : Rule.choice_elt) -> List.map pred_key e.condition)
+              elts
+          | Rule.Head _ | Rule.Falsity | Rule.Weak _ -> [])
+        p.rules
       |> List.sort_uniq compare
     in
-    let frozen = ref [] and n_frozen = ref 0 in
-    let dormants = ref [] and n_dorm = ref 0 in
-    Obs.fine_span "asp.ground.instantiate" (fun () ->
-        instantiate_emissions b p
-          ~emit:(fun em ->
-            let i = !n_frozen in
-            let dropped =
-              List.filter (fun a -> not (base_mem b a)) em.em_all_negs
-            in
-            let fz_negs = if dropped = [] then [] else em.em_all_negs in
-            List.iter (fun a -> add_dep k_latent a i) dropped;
-            let fz_choice =
-              match em.em_choice with
-              | Some (_, _, elems, _) when jpos_live elems ->
-                List.iter
-                  (fun key -> add_dep k_choice_deps key i)
-                  (elem_cond_preds elems);
-                em.em_choice
-              | Some _ | None -> None
-            in
-            frozen := { fz_rule = em.em_rule; fz_negs; fz_choice } :: !frozen;
-            incr n_frozen)
-          ~emit_dormant:(fun d ->
-            if jpos_live d.d_elems then begin
-              let i = !n_dorm in
-              List.iter
-                (fun key -> add_dep k_dormant_deps key i)
-                (elem_cond_preds d.d_elems);
-              dormants := d :: !dormants;
-              incr n_dorm
-            end));
-    let k_frozen = Array.of_list (List.rev !frozen) in
-    let k_dormant = Array.of_list (List.rev !dormants) in
     let k_inst_by_pred = Hashtbl.create 16 in
     let insts = ref [] and n_inst = ref 0 in
     List.iter
@@ -1094,7 +975,11 @@ module Incremental = struct
               :: !insts;
             incr n_inst;
             Array.iteri
-              (fun pivot key -> add_dep k_inst_by_pred key (i, pivot))
+              (fun pivot key ->
+                match Hashtbl.find_opt k_inst_by_pred key with
+                | Some l -> l := (i, pivot) :: !l
+                | None ->
+                  Hashtbl.replace k_inst_by_pred key (ref [ (i, pivot) ]))
               (jpos_preds plan nord)
           end)
       p.rules;
@@ -1104,39 +989,15 @@ module Incremental = struct
           List.filter (fun t -> t.t_preds <> [||]) (templates_of_rule r))
         p.rules
     in
-    let base_set = base_set_of b in
-    log_grounded p ~n_out:!n_frozen ~base_set;
     {
       k_base = b;
       k_next_round = b.flushed_round + 1;
-      k_ground =
-        {
-          grules = List.map (fun fz -> fz.fz_rule) (Array.to_list k_frozen);
-          base = base_set;
-        };
-      k_frozen;
-      k_latent;
-      k_choice_deps;
-      k_dormant;
-      k_dormant_deps;
+      k_ground;
+      k_refuse_on;
       k_inst = Array.of_list (List.rev !insts);
       k_inst_by_pred;
       k_templates;
-      k_inert =
-        k_templates = [] && !n_inst = 0 && !n_dorm = 0
-        && Hashtbl.length k_latent = 0
-        && Hashtbl.length k_choice_deps = 0;
     }
-
-  (** One batch of context facts over a core: a child layer over the
-      core's atom base (the core's is never written through, so one core
-      can back any number of batches at once) holding the base atoms the
-      facts derived, and the batch's facts. *)
-  type overlay = {
-    o_core : core;
-    o_base : base;  (** child layer over [o_core.k_base] *)
-    o_facts : Atom.t list;  (** normalized, deduplicated, in order *)
-  }
 
   let value_fact (a : Atom.t) = List.for_all Term.is_value a.Atom.args
 
@@ -1177,168 +1038,52 @@ module Incremental = struct
       (if List.for_all value_fact facts then facts
        else List.concat_map normalize_fact facts)
 
-  (** Assert [facts] over [core] in a fresh child layer and continue the
-      core's semi-naive fixpoint on their consequences. *)
-  let overlay core (facts : Atom.t list) : overlay =
+  (* Phase 1 asserts the batch in a child layer over the core's base (the
+     core's is never written through, so one core can back any number of
+     batches at once) and continues the core's semi-naive fixpoint on its
+     consequences; every predicate with a new atom then has an index in
+     that layer. Phase 2 runs, for each such predicate, the plans with a
+     join literal over it, pivoting on the atoms new since the core. The
+     base is final by then, so each new instance's negative literals and
+     choice elements are final too. *)
+  let delta_with core ~(facts : Atom.t list) : ground_rule list option =
     let b = base_child core.k_base in
     let facts = normalize_facts facts in
-    let r0 = core.k_next_round in
-    List.iter (fun a -> ignore (base_add b ~round:r0 a)) facts;
-    if base_flush b ~round:r0 then
-      ignore (delta_rounds b ~round:(r0 + 1) core.k_templates);
-    { o_core = core; o_base = b; o_facts = facts }
-
-  (** The batch's own ground rules, in emission order — its fact rules,
-      the brand-new phase-2 instances (via the [From] pivot scheme) and
-      the dormant revivals — and the frozen core rules the grown base
-      changes. The base is final here, so the batch's rules need no
-      later refresh. *)
-  let materialize o : ground_rule list * (int, unit) Hashtbl.t =
-    let b = o.o_base in
-    let core = o.o_core in
-    let rules =
-      ref
-        (List.rev_map
-           (fun a -> { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] })
-           o.o_facts)
-    in
-    let affected = Hashtbl.create 8 in
-    let fresh = Hashtbl.fold (fun a _ acc -> a :: acc) b.stamp [] in
-    if fresh <> [] then begin
-      let fresh_preds =
-        List.sort_uniq compare
-          (List.map (fun (a : Atom.t) -> (a.Atom.pred, Atom.arity a)) fresh)
+    let n0 = core.k_next_round in
+    List.iter (fun a -> ignore (base_add b ~round:n0 a)) facts;
+    if base_flush b ~round:n0 then
+      ignore (delta_rounds b ~round:(n0 + 1) core.k_templates);
+    let fresh_preds = Hashtbl.fold (fun key _ acc -> key :: acc) b.by_pred [] in
+    if List.exists (fun key -> List.mem key core.k_refuse_on) fresh_preds then
+      None
+    else
+      Obs.span "asp.ground" @@ fun () ->
+      Obs.Counter.incr c_ground_calls;
+      let rules =
+        ref
+          (List.rev_map
+             (fun a -> { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] })
+             facts)
       in
-      let dormant_live = Hashtbl.create 8 in
-      List.iter
-        (fun a ->
-          match Hashtbl.find_opt core.k_latent a with
-          | Some l -> List.iter (fun i -> Hashtbl.replace affected i ()) !l
-          | None -> ())
-        fresh;
+      let emit gr = rules := gr :: !rules in
       List.iter
         (fun key ->
-          (match Hashtbl.find_opt core.k_choice_deps key with
-          | Some l -> List.iter (fun i -> Hashtbl.replace affected i ()) !l
-          | None -> ());
-          match Hashtbl.find_opt core.k_dormant_deps key with
-          | Some l -> List.iter (fun i -> Hashtbl.replace dormant_live i ()) !l
-          | None -> ())
+          match Hashtbl.find_opt core.k_inst_by_pred key with
+          | None -> ()
+          | Some l ->
+            List.iter
+              (fun (i, pivot) ->
+                let ir = core.k_inst.(i) in
+                instantiate_plan b ir.ir_rule ir.ir_plan
+                  ~occ_of:(fun ord ->
+                    if ord < pivot then UpTo (n0 - 1)
+                    else if ord = pivot then From n0
+                    else Any)
+                  (head_action b ir.ir_rule ir.ir_chead ~emit))
+              !l)
         fresh_preds;
-      let n0 = core.k_next_round in
-      let local_dormant = ref [] in
-      let emit em = rules := em.em_rule :: !rules in
-      let emit_dormant d =
-        if jpos_live d.d_elems then local_dormant := d :: !local_dormant
-      in
-      List.iter
-        (fun (i, pivot) ->
-          let ir = core.k_inst.(i) in
-          let action = head_action b ir.ir_rule ir.ir_chead ~emit ~emit_dormant in
-          run_plan b ~init:Term.subst_empty ir.ir_plan
-            ~occ_of:(fun ord ->
-              if ord < pivot then UpTo (n0 - 1)
-              else if ord = pivot then From n0
-              else Any)
-            (fun subst pos_insts ->
-              match ground_body b subst ~pos_insts ir.ir_rule.Rule.body with
-              | None -> ()
-              | Some (gpos, gneg, gcounts, all_negs) ->
-                action subst gpos gneg gcounts all_negs))
-        (List.concat_map
-           (fun key ->
-             match Hashtbl.find_opt core.k_inst_by_pred key with
-             | Some l -> !l
-             | None -> [])
-           fresh_preds);
-      (* revive dormant choice bodies whose elements became instantiable *)
-      let revive (d : dormant) =
-        let atoms = head_instances_choice b d.d_subst d.d_elems in
-        let atoms = List.sort_uniq Atom.compare atoms in
-        if atoms <> [] then
-          rules :=
-            {
-              ghead = GChoice (d.d_l, atoms, d.d_u);
-              gpos = d.d_gpos;
-              gneg = List.filter (base_mem b) d.d_all_negs;
-              gcounts = d.d_gcounts;
-            }
-            :: !rules
-      in
-      let live = Hashtbl.fold (fun i () acc -> i :: acc) dormant_live [] in
-      List.iter (fun i -> revive core.k_dormant.(i)) (List.sort Int.compare live);
-      List.iter revive !local_dormant
-    end;
-    (List.rev !rules, affected)
-
-  (** Refresh a frozen rule against the grown base: re-filter its
-      negative instances, re-enumerate its choice elements. Shares the
-      input when nothing changed. *)
-  let refresh_rule b (fz : frozen) : ground_rule =
-    let og = fz.fz_rule in
-    let gneg =
-      if fz.fz_negs = [] then og.gneg else List.filter (base_mem b) fz.fz_negs
-    in
-    let ghead =
-      match fz.fz_choice with
-      | Some (subst, l, elems, u) ->
-        let atoms =
-          List.sort_uniq Atom.compare (head_instances_choice b subst elems)
-        in
-        GChoice (l, atoms, u)
-      | None -> og.ghead
-    in
-    if gneg == og.gneg && ghead == og.ghead then og else { og with gneg; ghead }
-
-  let delta_with core ~(facts : Atom.t list) : ground_rule list option =
-    if not core.k_inert then begin
-      let o = overlay core facts in
-      Obs.span "asp.ground" @@ fun () ->
-      Obs.Counter.incr c_ground_calls;
-      let d, affected = materialize o in
-      if Hashtbl.length affected <> 0 then None
-      else begin
-        Obs.Counter.incr c_ground_rules ~by:(List.length d);
-        set_ground_rules (List.length d);
-        Some d
-      end
-    end
-    else
-      (* nothing can join on, repair from or revive on the facts: the
-         delta is just the facts *)
-      Obs.span "asp.ground" @@ fun () ->
-      Obs.Counter.incr c_ground_calls;
-      let d =
-        List.map
-          (fun a -> { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] })
-          (normalize_facts facts)
-      in
+      let d = List.rev !rules in
       Obs.Counter.incr c_ground_rules ~by:(List.length d);
       set_ground_rules (List.length d);
       Some d
-
-  let ground_with core ~(facts : Atom.t list) : ground_program =
-    match facts with
-    | [] -> core.k_ground
-    | facts ->
-      let o = overlay core facts in
-      Obs.span "asp.ground" @@ fun () ->
-      Obs.Counter.incr c_ground_calls;
-      let delta, affected = materialize o in
-      let b = o.o_base in
-      let core_rules =
-        if Hashtbl.length affected = 0 then core.k_ground.grules
-        else
-          Array.to_list
-            (Array.mapi
-               (fun i fz ->
-                 if Hashtbl.mem affected i then refresh_rule b fz else fz.fz_rule)
-               core.k_frozen)
-      in
-      let base_set =
-        Hashtbl.fold (fun a _ acc -> Atom.Set.add a acc) b.stamp core.k_ground.base
-      in
-      Obs.Counter.incr c_ground_rules ~by:(List.length delta);
-      set_ground_rules (List.length delta);
-      { grules = core_rules @ delta; base = base_set }
 end

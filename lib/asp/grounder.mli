@@ -74,9 +74,9 @@ val atom_count : ground_program -> int
     written through, so one core can back many batches), continues the
     core's semi-naive fixpoint on the facts, and instantiates only the
     join plans that can see a new atom, each new combination exactly
-    once. Existing core rules are repaired, not re-derived, when the
-    grown base changes them (a dropped trivially-true negative literal
-    becoming derivable, a choice head gaining elements). *)
+    once. A core is extended, never repaired: a batch that could change
+    one of its ground rules is refused, and the caller decides it from
+    scratch. *)
 module Incremental : sig
   type core
   (** A frozen grounded program plus the state needed to delta-ground
@@ -96,25 +96,17 @@ module Incremental : sig
       @raise Invalid_argument on a non-ground fact. *)
   val normalize_facts : Atom.t list -> Atom.t list
 
-  (** The delta rules [facts] add to [core] (intervals expand,
-      unevaluable facts are inapplicable and dropped, duplicates are
-      ignored): [Some rules] when every frozen core rule is still valid
-      unmodified, so a solver holding precompiled state for
-      {!core_ground} can be extended with exactly these rules
-      ({!Solver.has_answer_set_prepared}); [None] when a fact touched a
-      latent negative literal or choice head of the core (the core
-      needs repair) — fall back to {!ground_with}. On an {e inert} core
-      (the facts can have no consequences: nothing joins on them,
-      nothing latent or dormant depends on them) the delta is just the
-      facts as ground fact rules.
+  (** The delta rules [facts] add to [core] (normalized as
+      {!normalize_facts}): [Some rules] such that {!core_ground}'s rules
+      followed by [rules] are, as a set of rules, the ground program of
+      the core program extended with the facts — so a solver holding
+      precompiled state for {!core_ground} can be extended with exactly
+      these rules ({!Solver.has_answer_set_prepared}). [None] when the
+      facts and their consequences include an atom of a predicate the
+      core negates or uses in a choice element's condition: such an
+      atom could change an existing ground rule (a negative literal
+      dropped as trivially true, a choice head's elements), so the
+      batch is left to a from-scratch ground of the extended program.
       @raise Invalid_argument on a non-ground fact. *)
   val delta_with : core -> facts:Atom.t list -> ground_rule list option
-
-  (** The ground program for [core] plus [facts]: the core's ground
-      rules (repaired where the grown base changed them) followed by the
-      delta rules; just the core's ground program when [facts] is empty.
-      Equal, as a set of rules over the same possible-atom base, to
-      fully regrounding the core program extended with the facts.
-      @raise Invalid_argument on a non-ground fact. *)
-  val ground_with : core -> facts:Atom.t list -> ground_program
 end

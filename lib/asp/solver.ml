@@ -692,7 +692,11 @@ let has_answer_set_prepared ?wellfounded (pr : prepared)
     | _ -> true)
 
 type compiled =
-  | Frozen of { core : Grounder.Incremental.core; prepared : prepared }
+  | Frozen of {
+      program : Program.t;  (** decided from scratch on a refused batch *)
+      core : Grounder.Incremental.core;
+      prepared : prepared;
+    }
   | Ground_core of {
       pr : prepared;  (** every rule, over every atom any rule names *)
       core_complete : int;  (** rules whose body the core completes alone *)
@@ -761,7 +765,12 @@ let compile (p : Program.t) : compiled =
       }
   | None ->
     let core = Grounder.Incremental.freeze p in
-    Frozen { core; prepared = prepare (Grounder.Incremental.core_ground core) }
+    Frozen
+      {
+        program = p;
+        core;
+        prepared = prepare (Grounder.Incremental.core_ground core);
+      }
 
 let has_answer_set_extended (c : compiled) ~(facts : Atom.t list) : bool * int
     =
@@ -772,9 +781,11 @@ let has_answer_set_extended (c : compiled) ~(facts : Atom.t list) : bool * int
     | Some delta ->
       (has_answer_set_prepared c.prepared ~delta, List.length delta)
     | None ->
-      (* the facts touch a latent negative literal or a dormant choice of
-         the core: decide the repaired full ground program *)
-      let gp = Grounder.Incremental.ground_with c.core ~facts in
+      (* the facts reach a negated or choice-condition predicate of the
+         core: decide the extended program from scratch, asserting each
+         distinct fact once as the delta does *)
+      let facts = Grounder.Incremental.normalize_facts facts in
+      let gp = Grounder.ground (Program.with_facts c.program facts) in
       ( has_answer_set_ground gp,
         Grounder.size gp - Grounder.size (Grounder.Incremental.core_ground c.core)
       ))

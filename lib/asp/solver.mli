@@ -65,7 +65,7 @@ val has_answer_set_ground : Grounder.ground_program -> bool
     then decide satisfiability of core + per-request delta rules with
     {!has_answer_set_prepared} — only the delta is compiled per call.
     Pairs with {!Grounder.Incremental.delta_with}, which produces exactly
-    the extension rules when the frozen core needs no repair. *)
+    the extension rules whenever it accepts a batch. *)
 
 type prepared
 (** The compiled form of a ground program (atom ids, indexed rules,
@@ -96,11 +96,12 @@ val has_answer_set_prepared :
       answer set, so a check is one least-model pass seeded with the
       facts' ids: the answer is false iff the model completes some
       constraint's body.
-    - Otherwise the frozen incremental-grounding core
-      ({!Grounder.Incremental.freeze}) and the prepared solver state of
-      its ground program: a check grounds the facts alone
-      ({!Grounder.Incremental.delta_with}) and extends the prepared
-      state with them. *)
+    - Otherwise the program itself, its frozen incremental-grounding
+      core ({!Grounder.Incremental.freeze}) and the prepared solver
+      state of the core's ground program: a check grounds the facts
+      alone ({!Grounder.Incremental.delta_with}) and extends the
+      prepared state with them, or, for a batch [delta_with] refuses,
+      grounds and solves the program extended with the facts. *)
 type compiled
 
 (** Compile [p]: a ground core is indexed as is, any other program is
@@ -129,10 +130,13 @@ val compile : Program.t -> compiled
     [asp.ground.*] or [asp.solve.*] counter.
 
     On the other form, only the facts are grounded and the prepared
-    state is extended with them; when the facts need a repair of the
-    frozen core, the repaired program
-    ({!Grounder.Incremental.ground_with}) is decided whole. [facts:[]]
-    decides the core, grounding nothing.
+    state is extended with them. When a fact or one of its consequences
+    is an atom of a predicate the core negates or uses in a choice
+    element's condition, {!Grounder.Incremental.delta_with} refuses the
+    batch: [p] extended with the normalized facts
+    ({!Program.with_facts}) is then grounded and decided from scratch
+    ({!has_answer_set_ground}), and the count is its size less the
+    core's. [facts:[]] decides the core, grounding nothing.
     @raise Invalid_argument on a non-ground fact. *)
 val has_answer_set_extended : compiled -> facts:Atom.t list -> bool * int
 

@@ -930,67 +930,111 @@ let prop_solver_models_match_ground_reference =
 
 (* ---- incremental grounding: core + delta vs full reground ------------- *)
 
-(* canonical form of a whole ground program: base atoms plus rule
-   strings, both sorted — incremental grounding orders rules core-major
-   then delta, a full reground puts the facts first, so equality is up
-   to rule order *)
-let canonical_ground (gp : Asp.Grounder.ground_program) =
-  ( List.map Asp.Atom.to_string (Asp.Atom.Set.elements gp.Asp.Grounder.base),
-    normalized_rule_strings gp.Asp.Grounder.grules )
-
 let sorted_ground_models gp = sorted_model_strings (Asp.Solver.solve_ground gp)
+
+(* Random safe first-order programs as [gen_fo_program_source], plus up
+   to two choice rules with optional bounds over h/1 and r/1, whose
+   elements are unconditional or conditioned on p/1, q/2, h/1 or r/1 —
+   the predicates of [fact_pool] — and whose body is empty or one
+   positive literal that may bind the elements' variable. *)
+let gen_fo_choice_program_source =
+  QCheck2.Gen.(
+    let bound =
+      map (Option.fold ~none:"" ~some:string_of_int) (option (int_bound 2))
+    in
+    let elt =
+      let* head = oneofl [ "h"; "r" ] in
+      oneof
+        [
+          map (Printf.sprintf "%s(%d)" head) (int_range 1 2);
+          map (Printf.sprintf "%s(X) : %s(X)" head) (oneofl [ "p"; "h"; "r" ]);
+          map2 (Printf.sprintf "%s(%d) : %s(X)" head) (int_range 1 2)
+            (oneofl [ "p"; "h"; "r" ]);
+          map (Printf.sprintf "%s(X) : q(X, %d)" head) (int_range 1 3);
+          map (Printf.sprintf "%s(X) : q(%d, X), p(X)" head) (int_range 1 3);
+        ]
+    in
+    let choice =
+      let* l = bound in
+      let* elts = list_size (int_range 1 2) elt in
+      let* u = bound in
+      let* body =
+        oneofl [ ""; " :- p(1)"; " :- h(2)"; " :- p(X)"; " :- r(X)" ]
+      in
+      return
+        (Printf.sprintf "%s { %s } %s%s." l (String.concat " ; " elts) u body)
+    in
+    map2
+      (fun src choices -> String.concat " " (src :: choices))
+      gen_fo_program_source
+      (list_size (int_bound 2) choice))
 
 (* the context facts grounded against a random core: EDB atoms (p/1,
    q/2) and IDB atoms (h/1, r/1) alike — asserting an atom the core
-   can also derive, or one feeding a dropped trivially-true negative
-   literal, must both be handled *)
+   can also derive, one a negative literal reads or one a choice
+   element's condition reads must all be handled — and facts the
+   grounder normalizes: an interval, arithmetic, an unevaluable fact
+   and an empty interval *)
 let fact_pool =
   Array.map atom
     [|
       "p(1)"; "p(2)"; "p(3)"; "q(1, 2)"; "q(2, 1)"; "q(3, 3)";
       "h(1)"; "h(2)"; "r(1)"; "r(3)";
+      "h(1..2)"; "r(1+1)"; "r(1/0)"; "p(2..1)";
     |]
 
-(* Random (core, fact batches) pairs, every batch grounded against the
-   same frozen core. [ground_with] must equal — as a set of rules over
-   the same possible-atom base — a from-scratch reground of the core
-   program extended with the batch, with identical stable models.
+(* Random (core, fact batches) pairs, every batch decided against the
+   same compiled program and grounded against the same frozen core.
+   [has_answer_set_extended] must answer as a from-scratch solve of the
+   program extended with the batch, counting the delta's rules or, for
+   a refused batch, the rules beyond the core's of a from-scratch
+   ground that asserts each distinct fact once.
    Whenever [delta_with] returns a delta, the core's ground rules plus
-   that delta must be the same rule set, and the prepared core extended
-   by it must decide satisfiability as the full reground does (the
-   serving layer's hot path). *)
+   that delta must be the rule set of a from-scratch reground, and the
+   prepared core extended by it must decide satisfiability as the full
+   reground does (the serving layer's hot path). *)
 let prop_incremental_matches_full_reground =
   QCheck2.Test.make
     ~name:"incremental core+delta = full reground, over random fact batches"
-    ~count:120
+    ~count:120 ~long_factor:10
+    ~print:(fun (src, batches) ->
+      Printf.sprintf "core: %s\nbatches: %s" src
+        (String.concat " | "
+           (List.map
+              (fun idxs ->
+                String.concat ". "
+                  (List.map (fun i -> Asp.Atom.to_string fact_pool.(i)) idxs))
+              batches)))
     QCheck2.Gen.(
-      pair gen_fo_program_source
+      pair gen_fo_choice_program_source
         (list_size (int_range 1 8)
            (list_size (int_range 1 4)
               (int_bound (Array.length fact_pool - 1)))))
     (fun (src, batches) ->
       let p = parse src in
       QCheck2.assume (List.for_all Asp.Rule.is_safe (Asp.Program.rules p));
+      let c = Asp.Solver.compile p in
       let core = Asp.Grounder.Incremental.freeze p in
-      let core_rules =
-        (Asp.Grounder.Incremental.core_ground core).Asp.Grounder.grules
-      in
-      let prepared =
-        Asp.Solver.prepare (Asp.Grounder.Incremental.core_ground core)
-      in
+      let core_gp = Asp.Grounder.Incremental.core_ground core in
+      let prepared = Asp.Solver.prepare core_gp in
       List.for_all
         (fun idxs ->
           let facts = List.map (fun i -> fact_pool.(i)) idxs in
           let full = Asp.Grounder.ground (Asp.Program.with_facts p facts) in
-          let inc = Asp.Grounder.Incremental.ground_with core ~facts in
-          canonical_ground inc = canonical_ground full
-          && sorted_ground_models inc = sorted_ground_models full
+          let sat, rules = Asp.Solver.has_answer_set_extended c ~facts in
+          sat = Asp.Solver.has_answer_set (Asp.Program.with_facts p facts)
           &&
           match Asp.Grounder.Incremental.delta_with core ~facts with
-          | None -> true
+          | None ->
+            let distinct = Asp.Grounder.Incremental.normalize_facts facts in
+            rules
+            = Asp.Grounder.size
+                (Asp.Grounder.ground (Asp.Program.with_facts p distinct))
+              - Asp.Grounder.size core_gp
           | Some d ->
-            normalized_rule_strings (core_rules @ d)
-            = normalized_rule_strings full.Asp.Grounder.grules
+            rules = List.length d
+            && normalized_rule_strings (core_gp.Asp.Grounder.grules @ d)
+               = normalized_rule_strings full.Asp.Grounder.grules
             && Asp.Solver.has_answer_set_prepared prepared ~delta:d
                = Asp.Solver.has_answer_set_ground full)
         batches)
@@ -1003,49 +1047,68 @@ let test_incremental_shared_core () =
   let core_size () =
     Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core)
   in
+  let delta facts =
+    Asp.Grounder.Incremental.delta_with core ~facts:(List.map atom facts)
+  in
   Alcotest.(check int) "factless core fires nothing" 0 (core_size ());
   (* p(1). p(2). q(1). q(2). r. s. — six dependent ground rules *)
-  Alcotest.(check int) "both chains grounded" 6
-    (Asp.Grounder.size
-       (Asp.Grounder.Incremental.ground_with core
-          ~facts:[ atom "p(1)"; atom "p(2)" ]));
-  Alcotest.(check (option int)) "the delta is the same six rules" (Some 6)
-    (Option.map List.length
-       (Asp.Grounder.Incremental.delta_with core
-          ~facts:[ atom "p(1)"; atom "p(2)"; atom "p(1)" ]));
-  Alcotest.(check (pair (list string) (list string)))
+  Alcotest.(check (option int)) "both chains grounded, the repeat ignored"
+    (Some 6)
+    (Option.map List.length (delta [ "p(1)"; "p(2)"; "p(1)" ]));
+  Alcotest.(check (option (list string)))
     "p(2) alone equals a fresh reground"
-    (canonical_ground
-       (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "p(2)" ])))
-    (canonical_ground
-       (Asp.Grounder.Incremental.ground_with core ~facts:[ atom "p(2)" ]));
+    (Some
+       (normalized_rule_strings
+          (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "p(2)" ]))
+            .Asp.Grounder.grules))
+    (Option.map normalized_rule_strings (delta [ "p(2)" ]));
   Alcotest.(check int) "the core is still factless" 0 (core_size ())
 
-(* a latent negative literal: [not h(1)] is dropped as trivially true
-   in the factless core, then h(1) is asserted — the core rule must be
-   repaired, not duplicated *)
-let test_incremental_latent_negation () =
-  let p = parse "p(1). s :- p(1), not h(1)." in
+(* A batch that reaches a predicate the core negates or chooses on is
+   refused by [delta_with] and decided from scratch; the frozen core,
+   and the compiled program's, keep their models. [src]'s core must be
+   satisfiable alone and unsatisfiable under [refused]. *)
+let check_refused_batch ~src ~core_models ~refused ~rules =
+  let p = parse src in
   let core = Asp.Grounder.Incremental.freeze p in
-  let before =
+  let models () =
     sorted_ground_models (Asp.Grounder.Incremental.core_ground core)
   in
-  Alcotest.(check (list (list string))) "s holds while h(1) is underivable"
-    [ [ "p(1)"; "s" ] ] before;
-  Alcotest.(check bool) "the core needs repair: no delta" true
-    (Asp.Grounder.Incremental.delta_with core ~facts:[ atom "h(1)" ] = None);
-  let gp = Asp.Grounder.Incremental.ground_with core ~facts:[ atom "h(1)" ] in
-  Alcotest.(check (pair (list string) (list string)))
-    "repaired rule equals a fresh reground"
-    (canonical_ground
-       (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "h(1)" ])))
-    (canonical_ground gp);
-  Alcotest.(check (list (list string))) "asserting h(1) defeats s"
-    [ [ "h(1)"; "p(1)" ] ]
-    (sorted_ground_models gp);
-  Alcotest.(check (list (list string))) "the frozen core still derives s"
-    before
-    (sorted_ground_models (Asp.Grounder.Incremental.core_ground core))
+  Alcotest.(check (list (list string))) "the core's models" core_models
+    (models ());
+  let facts = List.map atom refused in
+  Alcotest.(check bool) "the batch is refused" true
+    (Asp.Grounder.Incremental.delta_with core ~facts = None);
+  let c = Asp.Solver.compile p in
+  Alcotest.(check (pair bool int)) "decided from scratch" (false, rules)
+    (Asp.Solver.has_answer_set_extended c ~facts);
+  Alcotest.(check bool) "as has_answer_set" false
+    (Asp.Solver.has_answer_set (Asp.Program.with_facts p facts));
+  Alcotest.(check (pair bool int)) "the compiled core still answers" (true, 0)
+    (Asp.Solver.has_answer_set_extended c ~facts:[]);
+  Alcotest.(check (list (list string))) "the frozen core is unchanged"
+    core_models (models ())
+
+(* a latent negative literal: [not h(1)] is dropped as trivially true
+   in the factless core, so asserting h(1) would change a core rule;
+   from scratch, h(1) defeats s, and the repeat counts once *)
+let test_incremental_latent_negation () =
+  check_refused_batch ~src:"p(1). s :- p(1), not h(1). :- not s."
+    ~core_models:[ [ "p(1)"; "s" ] ] ~refused:[ "h(1)"; "h(1)" ] ~rules:1
+
+(* a choice condition: h(2) would give the core's choice head a second
+   element, and a(2) — then derived — breaks its upper bound; the delta
+   alone (h(2), a(2) :- h(2)) would miss that. A batch reaching no
+   condition is still extended. *)
+let test_incremental_choice_condition () =
+  let src = "h(1). a(1). a(2) :- h(2). { a(X) : h(X) } 1." in
+  check_refused_batch ~src ~core_models:[ [ "a(1)"; "h(1)" ] ]
+    ~refused:[ "h(2)" ] ~rules:2;
+  Alcotest.(check (option int)) "a(3) reaches no condition" (Some 1)
+    (Option.map List.length
+       (Asp.Grounder.Incremental.delta_with
+          (Asp.Grounder.Incremental.freeze (parse src))
+          ~facts:[ atom "a(3)" ]))
 
 (* ---- Deciding fact batches on a ground core ---- *)
 
@@ -1393,6 +1456,8 @@ let () =
             test_incremental_shared_core;
           Alcotest.test_case "incremental latent negation" `Quick
             test_incremental_latent_negation;
+          Alcotest.test_case "incremental choice condition" `Quick
+            test_incremental_choice_condition;
         ] );
       ( "dependency",
         [

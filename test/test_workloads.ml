@@ -476,8 +476,9 @@ let compiled_cases =
 
 (* Root-level rules with a latent negative literal: [not latent_veto] is
    trivially true in every frozen core, so a context asserting
-   [latent_veto] makes the delta ground fail and the repaired program
-   decide; [latent_pardon] turns the repaired answer back to accept. *)
+   [latent_veto] makes the delta ground refuse the batch and a
+   from-scratch ground decide; [latent_pardon] turns that answer back to
+   accept. *)
 let latent_rules =
   Asg.Annotation.parse
     "latent_ok :- not latent_veto. latent_ok :- latent_pardon. :- not latent_ok."
