@@ -22,7 +22,9 @@ type t = {
   padap : Padap.t;
   pep : Pep.t;
   pip : Pip.t;
-  context_repo : Context_repo.t;
+  mutable context : Asp.Program.t;
+      (** the last request's context, merged with the PIP's facts: what
+          {!generate_policies} generates for *)
   repository : Repository.t;
   rng : Random.State.t;
   mutable serve_engine : Serve.target option;
@@ -43,7 +45,7 @@ let create ~name ~seed ~(spec : Prep.pbms_spec) ~(space : Ilp.Hypothesis_space.t
     padap = Padap.create config gpm0;
     pep = Pep.create ();
     pip = Pip.create ();
-    context_repo = Context_repo.create ();
+    context = Asp.Program.empty;
     repository = Repository.create ();
     rng = Random.State.make [| seed |];
     serve_engine = None;
@@ -51,10 +53,8 @@ let create ~name ~seed ~(spec : Prep.pbms_spec) ~(space : Ilp.Hypothesis_space.t
 
 let gpm t = Padap.gpm t.padap
 let attach_engine t engine = t.serve_engine <- Some engine
-let engine t = t.serve_engine
 let base_gpm t = t.padap.Padap.gpm0
 let repository t = t.repository
-let pep t = t.pep
 let name t = t.name
 let compliance_rate t = Pep.compliance_rate t.pep
 let relearn_count t = Padap.relearn_count t.padap
@@ -77,9 +77,8 @@ let handle_request (t : t) (local_context : Asp.Program.t) : Pep.record =
   (* PIP: merge external conditions into the context *)
   let external_facts = Pip.poll_all t.pip in
   let context = Asp.Program.append local_context external_facts in
-  Context_repo.update t.context_repo context;
+  t.context <- context;
   (* PDP: decide with the current learned model *)
-  let request = Serve.Request.make ~context ~options:t.env.options () in
   let decision =
     Pdp.decide ?engine:t.serve_engine (gpm t) ~context
       ~options:t.env.options
@@ -87,8 +86,8 @@ let handle_request (t : t) (local_context : Asp.Program.t) : Pep.record =
   (* PEP + monitoring: enforce, compare with ground truth *)
   let verdict = t.env.oracle context decision.Serve.Decision.chosen in
   let record =
-    Pep.enforce ~gpm_version:(Asg.Gpm.version (gpm t)) t.pep ~request
-      ~decision ~verdict
+    Pep.enforce ~gpm_version:(Asg.Gpm.version (gpm t)) t.pep ~decision
+      ~verdict
   in
   (* monitoring feedback: the chosen option's validity is observed *)
   learn_from t ~context decision.Serve.Decision.chosen ~valid:verdict;
@@ -109,9 +108,8 @@ let handle_request (t : t) (local_context : Asp.Program.t) : Pep.record =
 
 (** PReP policy generation for the current context. *)
 let generate_policies ?max_depth (t : t) : string list =
-  let context = Context_repo.current t.context_repo in
   let _, policies =
-    Prep.generate_policies ?max_depth (gpm t) ~context t.repository
+    Prep.generate_policies ?max_depth (gpm t) ~context:t.context t.repository
   in
   policies
 

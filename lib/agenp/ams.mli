@@ -32,15 +32,16 @@ val gpm : t -> Asg.Gpm.t
     that shard's). *)
 val attach_engine : t -> Serve.target -> unit
 
-val engine : t -> Serve.target option
-
 (** The PReP-refined initial model (before any learned hypothesis). *)
 val base_gpm : t -> Asg.Gpm.t
 
 val repository : t -> Repository.t
-val pep : t -> Pep.t
 val name : t -> string
+
+(** The share of {!handle_request}'s records that were compliant; 1.0
+    before the first request. *)
 val compliance_rate : t -> float
+
 val relearn_count : t -> int
 
 (** Feed one labelled observation into the PAdaP. *)
@@ -50,7 +51,8 @@ val learn_from : t -> context:Asp.Program.t -> string -> valid:bool -> unit
     monitoring, example accumulation, adaptation. *)
 val handle_request : t -> Asp.Program.t -> Pep.record
 
-(** PReP policy generation for the current context. *)
+(** PReP policy generation for the last request's context (PIP facts
+    included). *)
 val generate_policies : ?max_depth:int -> t -> string list
 
 val relearn : t -> [ `Updated | `Unchanged | `Failed ]

@@ -31,7 +31,11 @@ type t = {
   gpm0 : Asg.Gpm.t;  (** the PReP-refined initial model *)
   mutable hypothesis : Ilp.Task.hypothesis;
   examples : Ilp.Example.t Obs.Ring.t;  (** the last [memory] examples *)
-  recent_violations : bool Obs.Ring.t;  (** the last [window] observations *)
+  recent_violations : bool array;
+      (** a ring of the last [window] observations: observation [k]
+          (from 0 since the last clear) is at [k mod window] *)
+  mutable observed : int;  (** observations since the last clear *)
+  mutable violations : int;  (** violations among the retained ones *)
   mutable relearn_count : int;
   mutable context_changed : bool;
       (** external signal: the operating context has shifted *)
@@ -53,7 +57,9 @@ let create config gpm0 =
     gpm0;
     hypothesis = [];
     examples = Obs.Ring.create ~capacity:config.memory;
-    recent_violations = Obs.Ring.create ~capacity:config.window;
+    recent_violations = Array.make (max 0 config.window) false;
+    observed = 0;
+    violations = 0;
     relearn_count = 0;
     context_changed = false;
     current = Ilp.Task.apply_hypothesis gpm0 [];
@@ -71,23 +77,30 @@ let examples t = List.rev (Obs.Ring.to_list t.examples)
 
 let relearn_count t = t.relearn_count
 
-(* [Obs.Ring.create] clamps its capacity to 1: a bound of 0 keeps nothing *)
-let push ring ~bound x = if bound > 0 then ignore (Obs.Ring.add ring (fun _ -> x))
-
+(* [Obs.Ring.create] clamps its capacity to 1: a memory of 0 keeps
+   nothing *)
 let add_example (t : t) (e : Ilp.Example.t) =
-  push t.examples ~bound:t.config.memory e
+  if t.config.memory > 0 then ignore (Obs.Ring.add t.examples (fun _ -> e))
 
 (** Record whether the last decision violated the environment's ground
     truth (as observed by monitoring). *)
 let record_violation (t : t) (violated : bool) =
-  push t.recent_violations ~bound:t.config.window violated
+  let ring = t.recent_violations in
+  let window = Array.length ring in
+  if window > 0 then begin
+    let i = t.observed mod window in
+    if t.observed >= window && ring.(i) then t.violations <- t.violations - 1;
+    ring.(i) <- violated;
+    if violated then t.violations <- t.violations + 1;
+    t.observed <- t.observed + 1
+  end
+
+let retained_observations t = min t.observed (Array.length t.recent_violations)
 
 let violation_rate (t : t) =
-  match Obs.Ring.to_list t.recent_violations with
-  | [] -> 0.0
-  | vs ->
-    float_of_int (List.length (List.filter Fun.id vs))
-    /. float_of_int (List.length vs)
+  match retained_observations t with
+  | 0 -> 0.0
+  | n -> float_of_int t.violations /. float_of_int n
 
 let c_relearns = Obs.Counter.make "agenp.padap.relearns"
 
@@ -145,7 +158,8 @@ let relearn ?(reason = "manual") (t : t) : [ `Updated | `Unchanged | `Failed ]
     in
     t.hypothesis <- outcome.Ilp.Learner.hypothesis;
     refresh t;
-    Obs.Ring.clear t.recent_violations;
+    t.observed <- 0;
+    t.violations <- 0;
     emit (if same then "unchanged" else "updated") (accuracy t.hypothesis);
     if same then `Unchanged else `Updated
 
@@ -159,7 +173,7 @@ let signal_context_change (t : t) = t.context_changed <- true
     signalled. *)
 let maybe_adapt (t : t) : [ `Updated | `Unchanged | `Failed | `Not_triggered ] =
   let violation_trigger =
-    Obs.Ring.length t.recent_violations >= t.config.window
+    retained_observations t >= t.config.window
     && violation_rate t >= t.config.relearn_threshold
   in
   if (violation_trigger || t.context_changed) && Obs.Ring.length t.examples > 0

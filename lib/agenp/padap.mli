@@ -22,8 +22,11 @@ type t = {
   gpm0 : Asg.Gpm.t;  (** the PReP-refined initial model *)
   mutable hypothesis : Ilp.Task.hypothesis;
   examples : Ilp.Example.t Obs.Ring.t;  (** the last [memory] examples *)
-  recent_violations : bool Obs.Ring.t;
-      (** the last [window] observations; cleared by a successful relearn *)
+  recent_violations : bool array;
+      (** a ring of the last [window] observations; cleared by a
+          successful relearn *)
+  mutable observed : int;  (** observations since the last clear *)
+  mutable violations : int;  (** violations among the retained ones *)
   mutable relearn_count : int;
   mutable context_changed : bool;
   mutable current : Asg.Gpm.t;

@@ -3,23 +3,22 @@
     the PAdaP learns from. The managed resource is abstracted as the
     [verdict] of an enforcement: whether the action succeeded / complied.
 
-    A record stores the full request alongside the decision; the verdict
-    lives inside the decision's [compliant] field (set here), so the
-    record carries exactly one canonical payload. *)
+    The verdict lives inside the record's decision ([compliant], set
+    here). The PEP keeps no record: only its tick and how many records
+    were compliant. *)
 
 type record = {
   tick : int;
-  request : Serve.Request.t;
   decision : Serve.Decision.t;
       (** [compliant] is [Some verdict] for every enforced record *)
 }
 
 type t = {
-  mutable log : record list;  (** newest first *)
   mutable tick : int;
+  mutable compliant : int;  (** records enforced compliant *)
 }
 
-let create () = { log = []; tick = 0 }
+let create () = { tick = 0; compliant = 0 }
 
 let c_noncompliant = Obs.Counter.make "agenp.pep.noncompliant"
 let h_noncompliance = Obs.Health.make "pep.noncompliance"
@@ -29,13 +28,13 @@ let h_noncompliance = Obs.Health.make "pep.noncompliance"
     [gpm_version] attributes the observation to the model that made the
     decision, feeding the per-version [pep.noncompliance] health
     signal. *)
-let enforce ?gpm_version (t : t) ~(request : Serve.Request.t)
-    ~(decision : Serve.Decision.t) ~(verdict : bool) : record =
+let enforce ?gpm_version (t : t) ~(decision : Serve.Decision.t)
+    ~(verdict : bool) : record =
   Obs.span "agenp.pep.enforce" @@ fun () ->
   t.tick <- t.tick + 1;
+  if verdict then t.compliant <- t.compliant + 1;
   let decision = { decision with Serve.Decision.compliant = Some verdict } in
-  let r = { tick = t.tick; request; decision } in
-  t.log <- r :: t.log;
+  let r = { tick = t.tick; decision } in
   Obs.Health.observe ?version:gpm_version h_noncompliance (not verdict);
   if not verdict then Obs.Counter.incr c_noncompliant;
   if not verdict then
@@ -50,13 +49,5 @@ let enforce ?gpm_version (t : t) ~(request : Serve.Request.t)
 let compliant (r : record) =
   match r.decision.Serve.Decision.compliant with Some c -> c | None -> false
 
-let context (r : record) = r.request.Serve.Request.context
-let log t = t.log
-let tick t = t.tick
-
 let compliance_rate t =
-  match t.log with
-  | [] -> 1.0
-  | log ->
-    float_of_int (List.length (List.filter compliant log))
-    /. float_of_int (List.length log)
+  if t.tick = 0 then 1.0 else float_of_int t.compliant /. float_of_int t.tick

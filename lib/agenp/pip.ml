@@ -16,8 +16,6 @@ let poll_all (t : t) : Asp.Program.t =
   Obs.span "agenp.pip.poll"
     ~attrs:[ ("sources", string_of_int (List.length t.sources)) ]
   @@ fun () ->
-  Obs.Log.debug "pip polling external sources"
-    ~attrs:[ ("sources", string_of_int (List.length t.sources)) ];
   Asp.Program.concat
     (List.map
        (fun s ->

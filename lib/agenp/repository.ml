@@ -1,35 +1,30 @@
 (** The policy repository and representations repository of Figure 2:
-    generated policies (strings of the GPM's language) and learned GPM
-    representations, versioned. *)
-
-type entry = { version : int; policies : string list }
+    the latest generated policies (strings of the GPM's language) and
+    the latest learned GPM representation, with how many of each were
+    stored. An older entry is dropped when a newer one is stored. *)
 
 type t = {
-  mutable versions : entry list;  (** newest first *)
-  mutable representations : (int * Asg.Gpm.t) list;  (** learned GPMs *)
+  mutable policies : string list;
+  mutable versions : int;  (** policy sets stored *)
+  mutable representation : Asg.Gpm.t option;
+  mutable representations : int;  (** representations stored *)
 }
 
-let create () = { versions = []; representations = [] }
+let create () =
+  { policies = []; versions = 0; representation = None; representations = 0 }
 
 let store_policies t policies =
-  let version =
-    match t.versions with [] -> 1 | e :: _ -> e.version + 1
-  in
-  t.versions <- { version; policies } :: t.versions;
-  version
+  t.policies <- policies;
+  t.versions <- t.versions + 1;
+  t.versions
 
-let latest_policies t =
-  match t.versions with [] -> [] | e :: _ -> e.policies
+let latest_policies t = t.policies
 
 let store_representation t gpm =
-  let version =
-    match t.representations with [] -> 1 | (v, _) :: _ -> v + 1
-  in
-  t.representations <- (version, gpm) :: t.representations;
-  version
+  t.representation <- Some gpm;
+  t.representations <- t.representations + 1;
+  t.representations
 
-let latest_representation t =
-  match t.representations with [] -> None | (_, g) :: _ -> Some g
-
-let version_count t = List.length t.versions
-let representation_count t = List.length t.representations
+let latest_representation t = t.representation
+let version_count t = t.versions
+let representation_count t = t.representations

@@ -680,14 +680,14 @@ let classify_definite_delta (delta : Grounder.ground_rule list) =
     [has_answer_set_ground { grules = core.grules @ delta; base }] by
     construction, skipping the per-call recompilation of the core — and
     skipping search entirely on the definite fast path. *)
-let has_answer_set_prepared ?wellfounded (pr : prepared)
+let has_answer_set_prepared (pr : prepared)
     ~(delta : Grounder.ground_rule list) : bool =
   match if pr.definite then classify_definite_delta delta else `Unknown with
   | `Sat -> true
   | `Unsat -> false
   | `Unknown -> (
     Obs.span "asp.solve" @@ fun () ->
-    match solve_state ~limit:1 ?wellfounded (extend pr delta) with
+    match solve_state ~limit:1 (extend pr delta) with
     | [] -> false
     | _ -> true)
 

@@ -79,7 +79,7 @@ val prepare : Grounder.ground_program -> prepared
     [delta] ground rules, skipping the per-call recompilation of the
     core. [delta:[]] decides the prepared program itself. *)
 val has_answer_set_prepared :
-  ?wellfounded:bool -> prepared -> delta:Grounder.ground_rule list -> bool
+  prepared -> delta:Grounder.ground_rule list -> bool
 
 (** A program compiled for repeated satisfiability checks under varying
     ground facts, in one of two forms. Immutable; safe to share across

@@ -472,24 +472,23 @@ let learn_constraints ?pool ?(max_witnesses = 64) ?(max_nodes = 300_000)
       | None -> continue := false
       | Some ei -> (
         let wid = List.find (fun w -> kc.(w) = 0) wit_ids_of_ex.(ei) in
-        let usable =
-          List.filter
-            (fun ci -> (not (List.mem ci !choice)) && hard_pos_safe ci)
-            killers_of.(wid)
-        in
+        (* no chosen candidate kills [wid], so none is among its killers *)
+        let usable = List.filter hard_pos_safe killers_of.(wid) in
         (* prefer the candidate killing the most still-unkilled negatives
            per unit cost *)
         let scored =
           List.map
             (fun ci ->
               let gain =
-                List.length
-                  (List.filter
-                     (fun w ->
-                       kc.(w) = 0
-                       && examples.(witnesses.(w).ex_idx).Example.label
-                          = Example.Negative)
-                     killed_by_cand.(ci))
+                List.fold_left
+                  (fun n w ->
+                    if
+                      kc.(w) = 0
+                      && examples.(witnesses.(w).ex_idx).Example.label
+                         = Example.Negative
+                    then n + 1
+                    else n)
+                  0 killed_by_cand.(ci)
               in
               (gain, candidates.(ci).Hypothesis_space.cost, ci))
             usable

@@ -168,9 +168,6 @@ let parallel_map pool f arr =
 
 let parallel_iter pool f arr = ignore (parallel_map pool f arr)
 
-let map_list pool f l =
-  Array.to_list (parallel_map pool f (Array.of_list l))
-
 module Config = struct
   let degree = Atomic.make 1
   let current : t option ref = ref None

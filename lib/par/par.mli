@@ -66,9 +66,6 @@ val parallel_iter : t -> ('a -> unit) -> 'a array -> unit
 (** [parallel_iter pool f arr] runs [f] on every element, in parallel.
     Same exception contract as {!parallel_map}. *)
 
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!parallel_map} over a list, preserving order. *)
-
 (** Process-wide parallelism configuration.
 
     Entry points (the CLI's [--domains N], the bench driver) set the

@@ -35,11 +35,6 @@ let test_map_empty_and_singleton () =
   Alcotest.(check (array int)) "singleton" [| 2 |]
     (Par.parallel_map pool4 succ [| 1 |])
 
-let test_map_list_ordering () =
-  let l = List.init 57 (fun i -> i) in
-  Alcotest.(check (list int)) "map_list preserves order" (List.map succ l)
-    (Par.map_list pool4 succ l)
-
 let test_iter_covers_all () =
   let n = 200 in
   let hit = Array.make n false in
@@ -175,26 +170,16 @@ let prop_witnesses_differential =
     task_gen
     (fun flags ->
       let gpm = decision_gpm () in
-      let examples = examples_of_flags flags in
-      let sequential =
-        List.map
-          (fun e ->
-            let ws, truncated =
-              Learner.witnesses_of_example_counted ~max_witnesses:4 gpm e
-            in
-            (List.map witness_fingerprint ws, truncated))
-          examples
+      let examples = Array.of_list (examples_of_flags flags) in
+      let witnesses e =
+        let ws, truncated =
+          Learner.witnesses_of_example_counted ~max_witnesses:4 gpm e
+        in
+        (List.map witness_fingerprint ws, truncated)
       in
+      let sequential = Array.map witnesses examples in
       List.for_all
-        (fun (_, pool) ->
-          Par.map_list pool
-            (fun e ->
-              let ws, truncated =
-                Learner.witnesses_of_example_counted ~max_witnesses:4 gpm e
-              in
-              (List.map witness_fingerprint ws, truncated))
-            examples
-          = sequential)
+        (fun (_, pool) -> Par.parallel_map pool witnesses examples = sequential)
         (all_pools ()))
 
 let outcome_fingerprint = function
@@ -244,7 +229,6 @@ let () =
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "empty/singleton" `Quick test_map_empty_and_singleton;
-          Alcotest.test_case "map_list ordering" `Quick test_map_list_ordering;
           Alcotest.test_case "iter coverage" `Quick test_iter_covers_all;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "nested submission" `Quick test_nested_submission;

@@ -251,6 +251,7 @@ let differential_prop =
         ])
   in
   QCheck2.Test.make ~name:"cached decisions = uncached, under churn" ~count:40
+    ~long_factor:10
     QCheck2.Gen.(list_size (int_range 5 25) gen_op)
     (fun ops ->
       let engine =
@@ -811,43 +812,90 @@ let cluster_differential_prop =
             (List.combine reference outcomes))
         [ 1; 2; 4 ])
 
-(* ---- the simulation opt-in -------------------------------------------- *)
+(* ---- an AMS routed through a tenant shard ----------------------------- *)
 
-(* Reuses the CAV closed-loop fixture of test_agenp: the simulation with
-   a serving engine attached must trace the exact same timeline as the
-   uncached run (decisions, adaptations, everything). *)
-let test_simulation_serve_config () =
+(* An AMS whose PDP routes through its shard of a cluster (which also
+   serves another tenant) makes the same decision at every request, and
+   relearns as often, as the same AMS deciding without the cluster:
+   adaptations reach the shard through [set_gpm]. The truth admits
+   accept only in sun; the initial model forbids it only in snow. *)
+let ams_shard_prop =
   let spec : Agenp.Prep.pbms_spec =
-    {
-      Agenp.Prep.grammar_text = snow_grammar;
-      global_constraints = [];
-    }
+    { Agenp.Prep.grammar_text = snow_grammar; global_constraints = [] }
   in
-  let space = Ilp.Hypothesis_space.generate (Workloads.Cav.modes ()) in
-  let env : Agenp.Ams.environment =
+  let space =
+    Ilp.Hypothesis_space.of_rules
+      [
+        (":- result(accept)@1, weather(fog).", [ 0 ]);
+        (":- result(accept)@1, weather(snow).", [ 0 ]);
+        (":- result(reject)@1, weather(sun).", [ 0 ]);
+      ]
+  in
+  let contexts =
+    [|
+      snow; sun; fog; Asp.Program.empty;
+      ctx "weather(sun). attr(subject, id, u1).";
+    |]
+  in
+  let weather_sun = Asp.Atom.make "weather" [ Asp.Term.Fun ("sun", []) ] in
+  let env audit_rate : Agenp.Ams.environment =
     {
       Agenp.Ams.options = [ "accept"; "reject" ];
-      oracle = (fun context _opt -> Asp.Program.equal context snow);
-      audit_rate = 0.0;
+      oracle =
+        (fun context opt ->
+          let sunny =
+            List.exists (Asp.Atom.equal weather_sun) (Asp.Program.facts context)
+          in
+          if opt = "accept" then sunny else not sunny);
+      audit_rate;
     }
   in
-  let stream _name tick i = if (tick + i) mod 2 = 0 then snow else sun in
-  let config =
-    { Agenp.Simulation.default_config with ticks = 4; gossip_every = None }
-  in
-  let timeline serve_config =
-    let ams = Agenp.Ams.create ~name:"m" ~seed:3 ~spec ~space env in
-    let r =
-      Agenp.Simulation.run ?serve_config config [ ams ]
-        ~request_stream:stream
-    in
-    List.map
-      (fun (t : Agenp.Simulation.tick_stats) -> (t.tick, t.compliance))
-      r.Agenp.Simulation.timeline
-  in
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "same timeline with and without the engine" (timeline None)
-    (timeline (Some Serve.Config.default))
+  QCheck2.Test.make ~name:"ams through a tenant shard = without" ~count:40
+    ~long_factor:10
+    ~print:QCheck2.Print.(triple int float (list (option int)))
+    QCheck2.Gen.(
+      triple (int_bound 1000) (oneofl [ 0.0; 0.5 ])
+        (list_size (int_range 5 40)
+           (frequency
+              [
+                (8, map Option.some (int_bound (Array.length contexts - 1)));
+                (1, return None);
+              ])))
+    (fun (seed, audit_rate, stream) ->
+      let run ~routed =
+        let padap_config =
+          { (Agenp.Padap.default_config space) with Agenp.Padap.window = 4 }
+        in
+        let ams =
+          Agenp.Ams.create ~name:"m" ~seed ~spec ~space ~padap_config
+            (env audit_rate)
+        in
+        if routed then begin
+          let cluster =
+            Serve.Cluster.create
+              ~tenants:
+                [ ("other", gpm_of sun_only_grammar); ("m", Agenp.Ams.gpm ams) ]
+              ()
+          in
+          Agenp.Ams.attach_engine ams (Serve.Tenant (cluster, "m"))
+        end;
+        let decisions =
+          List.filter_map
+            (function
+              | None ->
+                Agenp.Ams.signal_context_change ams;
+                None
+              | Some c ->
+                let record = Agenp.Ams.handle_request ams contexts.(c) in
+                Some record.Agenp.Pep.decision)
+            stream
+        in
+        (decisions, Agenp.Ams.relearn_count ams)
+      in
+      let decisions, relearns = run ~routed:false in
+      let routed_decisions, routed_relearns = run ~routed:true in
+      List.equal Serve.Decision.equal decisions routed_decisions
+      && relearns = routed_relearns)
 
 let () =
   Alcotest.run "serve"
@@ -902,10 +950,6 @@ let () =
           Alcotest.test_case "isolated invalidation" `Quick
             test_cluster_isolated_invalidation;
           QCheck_alcotest.to_alcotest cluster_differential_prop;
-        ] );
-      ( "simulation",
-        [
-          Alcotest.test_case "serve_config opt-in" `Quick
-            test_simulation_serve_config;
+          QCheck_alcotest.to_alcotest ams_shard_prop;
         ] );
     ]
